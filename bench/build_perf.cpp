@@ -530,7 +530,8 @@ void write_json(const Options& opt, const ScenarioConfig& config,
   out << "{\n  \"benchmark\": \"ecosystem_build\",\n";
   out << "  \"config\": {\"scenario\": \"" << config.name << "\", \"seed\": "
       << config.seed << ", \"window_days\": " << (config.window / kDay)
-      << ", \"quick\": " << (opt.quick ? "true" : "false") << "},\n";
+      << ", \"quick\": " << (opt.quick ? "true" : "false")
+      << ", \"cores\": " << std::thread::hardware_concurrency() << "},\n";
   char line[512];
   std::snprintf(line, sizeof line, "  \"build_speedup_%zu_threads\": %.2f,\n",
                 opt.threads, speedup);

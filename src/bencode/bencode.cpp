@@ -156,6 +156,20 @@ class Parser {
 
   std::size_t pos() const noexcept { return pos_; }
 
+  std::optional<std::string_view> find_raw(std::string_view key) {
+    if (peek() != 'd') throw Error("bencode: value is not a dict");
+    std::optional<std::string_view> found;
+    walk_dict(0, [&](std::string_view k, int child_depth) {
+      const std::size_t start = pos_;
+      skip_value(child_depth);
+      if (k == key) found = data_.substr(start, pos_ - start);
+    });
+    if (pos_ != data_.size()) {
+      throw Error("bencode: trailing bytes after value");
+    }
+    return found;
+  }
+
  private:
   static constexpr int kMaxDepth = 64;
 
@@ -197,15 +211,17 @@ class Parser {
     return Value(parse_raw_integer('e'));
   }
 
-  std::string parse_string() {
+  std::string_view parse_string_view() {
     const std::int64_t len = parse_raw_integer(':');
     if (len < 0) throw Error("bencode: negative string length");
     const auto n = static_cast<std::size_t>(len);
-    if (pos_ + n > data_.size()) throw Error("bencode: string exceeds input");
-    std::string s(data_.substr(pos_, n));
+    if (n > data_.size() - pos_) throw Error("bencode: string exceeds input");
+    const std::string_view s = data_.substr(pos_, n);
     pos_ += n;
     return s;
   }
+
+  std::string parse_string() { return std::string(parse_string_view()); }
 
   Value parse_list(int depth) {
     take();  // 'l'
@@ -215,23 +231,53 @@ class Parser {
     return Value(std::move(list));
   }
 
-  Value parse_dict(int depth) {
+  /// Walks one dict's entries in order, calling on_entry(key, depth) with
+  /// `pos_` at the start of each value; on_entry must consume that value.
+  template <typename OnEntry>
+  void walk_dict(int depth, OnEntry&& on_entry) {
     take();  // 'd'
-    Dict dict;
-    std::string prev_key;
+    std::string_view prev_key;
     bool first = true;
     while (peek() != 'e') {
-      std::string key = parse_string();
+      const std::string_view key = parse_string_view();
       if (!first && key <= prev_key) {
         throw Error("bencode: dict keys not strictly ascending");
       }
-      Value value = parse_value(depth + 1);
+      on_entry(key, depth + 1);
       prev_key = key;
       first = false;
-      dict.emplace(std::move(key), std::move(value));
     }
     take();  // 'e'
+  }
+
+  Value parse_dict(int depth) {
+    Dict dict;
+    walk_dict(depth, [&](std::string_view key, int child_depth) {
+      dict.emplace(std::string(key), parse_value(child_depth));
+    });
     return Value(std::move(dict));
+  }
+
+  /// Validates one value exactly as parse_value() does, without building it.
+  void skip_value(int depth) {
+    if (depth > kMaxDepth) throw Error("bencode: nesting too deep");
+    const char c = peek();
+    if (c == 'i') {
+      take();
+      parse_raw_integer('e');
+    } else if (c == 'l') {
+      take();
+      while (peek() != 'e') skip_value(depth + 1);
+      take();
+    } else if (c == 'd') {
+      walk_dict(depth, [&](std::string_view, int child_depth) {
+        skip_value(child_depth);
+      });
+    } else if (c >= '0' && c <= '9') {
+      parse_string_view();
+    } else {
+      throw Error("bencode: unexpected byte at offset " + std::to_string(pos_));
+    }
   }
 
   std::string_view data_;
@@ -258,6 +304,11 @@ Value decode_prefix(std::string_view data, std::size_t& pos) {
   Value v = p.parse_value();
   pos = p.pos();
   return v;
+}
+
+std::optional<std::string_view> find_raw(std::string_view dict,
+                                         std::string_view key) {
+  return Parser(dict, 0).find_raw(key);
 }
 
 }  // namespace btpub::bencode

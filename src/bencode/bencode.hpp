@@ -121,4 +121,13 @@ Value decode(std::string_view data);
 /// streaming several concatenated values.
 Value decode_prefix(std::string_view data, std::size_t& pos);
 
+/// Returns the encoded bytes of the value stored under `key` in the
+/// dictionary that is all of `dict`, or nullopt when the key is absent.
+/// `dict` is validated exactly as decode() validates it (throws Error on
+/// malformed input or trailing bytes), but no Value tree is built and no
+/// string payload is copied. Because decode() accepts only canonical
+/// bencoding, the returned bytes equal encode() of the decoded value.
+std::optional<std::string_view> find_raw(std::string_view dict,
+                                         std::string_view key);
+
 }  // namespace btpub::bencode

@@ -217,9 +217,9 @@ Ecosystem::PublicationDraft Ecosystem::prepare_publication(
   draft.request.language = work.language;
   draft.request.username = work.username;
   draft.request.textbox = work.textbox;
-  draft.request.torrent_bytes = metainfo.encode();
   draft.request.infohash = metainfo.infohash();
   draft.request.size_bytes = metainfo.total_size();
+  draft.request.torrent_bytes = std::move(metainfo).encode();
   draft.request.payload = work.payload;
 
   // Moderation: fake content gets spotted and removed after a delay —

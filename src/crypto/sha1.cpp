@@ -2,6 +2,13 @@
 
 #include <cstring>
 
+#if defined(__x86_64__) || defined(__i386__)
+#define BTPUB_SHA1_X86 1
+#include <immintrin.h>
+#else
+#define BTPUB_SHA1_X86 0
+#endif
+
 namespace btpub {
 namespace {
 
@@ -41,11 +48,257 @@ Sha1Digest Sha1Digest::from_hex(std::string_view hex) {
   return d;
 }
 
+namespace detail {
+
+void sha1_blocks_portable(std::uint32_t* state, const std::uint8_t* data,
+                          std::size_t n_blocks) noexcept {
+  for (; n_blocks > 0; --n_blocks, data += 64) {
+    std::uint32_t w[80];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<std::uint32_t>(data[4 * i]) << 24) |
+             (static_cast<std::uint32_t>(data[4 * i + 1]) << 16) |
+             (static_cast<std::uint32_t>(data[4 * i + 2]) << 8) |
+             static_cast<std::uint32_t>(data[4 * i + 3]);
+    }
+    for (int i = 16; i < 80; ++i) {
+      w[i] = rotl32(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
+    }
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3],
+                  e = state[4];
+    for (int i = 0; i < 80; ++i) {
+      std::uint32_t f, k;
+      if (i < 20) {
+        f = (b & c) | (~b & d);
+        k = 0x5A827999u;
+      } else if (i < 40) {
+        f = b ^ c ^ d;
+        k = 0x6ED9EBA1u;
+      } else if (i < 60) {
+        f = (b & c) | (b & d) | (c & d);
+        k = 0x8F1BBCDCu;
+      } else {
+        f = b ^ c ^ d;
+        k = 0xCA62C1D6u;
+      }
+      const std::uint32_t temp = rotl32(a, 5) + f + e + k + w[i];
+      e = d;
+      d = c;
+      c = rotl32(b, 30);
+      b = a;
+      a = temp;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+  }
+}
+
+#if BTPUB_SHA1_X86
+
+// The x86 SHA extensions' SHA-1 round sequence (Intel, "New Instructions
+// Supporting the Secure Hash Algorithm on Intel Architecture Processors",
+// 2013). Each sha1rnds4 performs four rounds; the message schedule for
+// rounds 16-79 is computed four words at a time by sha1msg1/sha1msg2 in
+// the shadow of the rounds. Only this function is compiled for the SHA
+// target, so the rest of the library keeps the baseline ISA.
+__attribute__((target("sha,sse4.1"))) void sha1_blocks_shani(
+    std::uint32_t* state, const std::uint8_t* data,
+    std::size_t n_blocks) noexcept {
+  const __m128i kByteSwap =
+      _mm_set_epi64x(0x0001020304050607LL, 0x08090a0b0c0d0e0fLL);
+  __m128i abcd = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0x1B);
+  __m128i e0 = _mm_set_epi32(static_cast<int>(state[4]), 0, 0, 0);
+
+  for (; n_blocks > 0; --n_blocks, data += 64) {
+    const auto* block = reinterpret_cast<const __m128i*>(data);
+    const __m128i abcd_save = abcd;
+    const __m128i e0_save = e0;
+    __m128i e1, msg0, msg1, msg2, msg3;
+
+    // Rounds 0-3.
+    msg0 = _mm_shuffle_epi8(_mm_loadu_si128(block + 0), kByteSwap);
+    e0 = _mm_add_epi32(e0, msg0);
+    e1 = abcd;
+    abcd = _mm_sha1rnds4_epu32(abcd, e0, 0);
+    // Rounds 4-7.
+    msg1 = _mm_shuffle_epi8(_mm_loadu_si128(block + 1), kByteSwap);
+    e1 = _mm_sha1nexte_epu32(e1, msg1);
+    e0 = abcd;
+    abcd = _mm_sha1rnds4_epu32(abcd, e1, 0);
+    msg0 = _mm_sha1msg1_epu32(msg0, msg1);
+    // Rounds 8-11.
+    msg2 = _mm_shuffle_epi8(_mm_loadu_si128(block + 2), kByteSwap);
+    e0 = _mm_sha1nexte_epu32(e0, msg2);
+    e1 = abcd;
+    abcd = _mm_sha1rnds4_epu32(abcd, e0, 0);
+    msg1 = _mm_sha1msg1_epu32(msg1, msg2);
+    msg0 = _mm_xor_si128(msg0, msg2);
+    // Rounds 12-15.
+    msg3 = _mm_shuffle_epi8(_mm_loadu_si128(block + 3), kByteSwap);
+    e1 = _mm_sha1nexte_epu32(e1, msg3);
+    e0 = abcd;
+    msg0 = _mm_sha1msg2_epu32(msg0, msg3);
+    abcd = _mm_sha1rnds4_epu32(abcd, e1, 0);
+    msg2 = _mm_sha1msg1_epu32(msg2, msg3);
+    msg1 = _mm_xor_si128(msg1, msg3);
+    // Rounds 16-19.
+    e0 = _mm_sha1nexte_epu32(e0, msg0);
+    e1 = abcd;
+    msg1 = _mm_sha1msg2_epu32(msg1, msg0);
+    abcd = _mm_sha1rnds4_epu32(abcd, e0, 0);
+    msg3 = _mm_sha1msg1_epu32(msg3, msg0);
+    msg2 = _mm_xor_si128(msg2, msg0);
+    // Rounds 20-23.
+    e1 = _mm_sha1nexte_epu32(e1, msg1);
+    e0 = abcd;
+    msg2 = _mm_sha1msg2_epu32(msg2, msg1);
+    abcd = _mm_sha1rnds4_epu32(abcd, e1, 1);
+    msg0 = _mm_sha1msg1_epu32(msg0, msg1);
+    msg3 = _mm_xor_si128(msg3, msg1);
+    // Rounds 24-27.
+    e0 = _mm_sha1nexte_epu32(e0, msg2);
+    e1 = abcd;
+    msg3 = _mm_sha1msg2_epu32(msg3, msg2);
+    abcd = _mm_sha1rnds4_epu32(abcd, e0, 1);
+    msg1 = _mm_sha1msg1_epu32(msg1, msg2);
+    msg0 = _mm_xor_si128(msg0, msg2);
+    // Rounds 28-31.
+    e1 = _mm_sha1nexte_epu32(e1, msg3);
+    e0 = abcd;
+    msg0 = _mm_sha1msg2_epu32(msg0, msg3);
+    abcd = _mm_sha1rnds4_epu32(abcd, e1, 1);
+    msg2 = _mm_sha1msg1_epu32(msg2, msg3);
+    msg1 = _mm_xor_si128(msg1, msg3);
+    // Rounds 32-35.
+    e0 = _mm_sha1nexte_epu32(e0, msg0);
+    e1 = abcd;
+    msg1 = _mm_sha1msg2_epu32(msg1, msg0);
+    abcd = _mm_sha1rnds4_epu32(abcd, e0, 1);
+    msg3 = _mm_sha1msg1_epu32(msg3, msg0);
+    msg2 = _mm_xor_si128(msg2, msg0);
+    // Rounds 36-39.
+    e1 = _mm_sha1nexte_epu32(e1, msg1);
+    e0 = abcd;
+    msg2 = _mm_sha1msg2_epu32(msg2, msg1);
+    abcd = _mm_sha1rnds4_epu32(abcd, e1, 1);
+    msg0 = _mm_sha1msg1_epu32(msg0, msg1);
+    msg3 = _mm_xor_si128(msg3, msg1);
+    // Rounds 40-43.
+    e0 = _mm_sha1nexte_epu32(e0, msg2);
+    e1 = abcd;
+    msg3 = _mm_sha1msg2_epu32(msg3, msg2);
+    abcd = _mm_sha1rnds4_epu32(abcd, e0, 2);
+    msg1 = _mm_sha1msg1_epu32(msg1, msg2);
+    msg0 = _mm_xor_si128(msg0, msg2);
+    // Rounds 44-47.
+    e1 = _mm_sha1nexte_epu32(e1, msg3);
+    e0 = abcd;
+    msg0 = _mm_sha1msg2_epu32(msg0, msg3);
+    abcd = _mm_sha1rnds4_epu32(abcd, e1, 2);
+    msg2 = _mm_sha1msg1_epu32(msg2, msg3);
+    msg1 = _mm_xor_si128(msg1, msg3);
+    // Rounds 48-51.
+    e0 = _mm_sha1nexte_epu32(e0, msg0);
+    e1 = abcd;
+    msg1 = _mm_sha1msg2_epu32(msg1, msg0);
+    abcd = _mm_sha1rnds4_epu32(abcd, e0, 2);
+    msg3 = _mm_sha1msg1_epu32(msg3, msg0);
+    msg2 = _mm_xor_si128(msg2, msg0);
+    // Rounds 52-55.
+    e1 = _mm_sha1nexte_epu32(e1, msg1);
+    e0 = abcd;
+    msg2 = _mm_sha1msg2_epu32(msg2, msg1);
+    abcd = _mm_sha1rnds4_epu32(abcd, e1, 2);
+    msg0 = _mm_sha1msg1_epu32(msg0, msg1);
+    msg3 = _mm_xor_si128(msg3, msg1);
+    // Rounds 56-59.
+    e0 = _mm_sha1nexte_epu32(e0, msg2);
+    e1 = abcd;
+    msg3 = _mm_sha1msg2_epu32(msg3, msg2);
+    abcd = _mm_sha1rnds4_epu32(abcd, e0, 2);
+    msg1 = _mm_sha1msg1_epu32(msg1, msg2);
+    msg0 = _mm_xor_si128(msg0, msg2);
+    // Rounds 60-63.
+    e1 = _mm_sha1nexte_epu32(e1, msg3);
+    e0 = abcd;
+    msg0 = _mm_sha1msg2_epu32(msg0, msg3);
+    abcd = _mm_sha1rnds4_epu32(abcd, e1, 3);
+    msg2 = _mm_sha1msg1_epu32(msg2, msg3);
+    msg1 = _mm_xor_si128(msg1, msg3);
+    // Rounds 64-67.
+    e0 = _mm_sha1nexte_epu32(e0, msg0);
+    e1 = abcd;
+    msg1 = _mm_sha1msg2_epu32(msg1, msg0);
+    abcd = _mm_sha1rnds4_epu32(abcd, e0, 3);
+    msg3 = _mm_sha1msg1_epu32(msg3, msg0);
+    msg2 = _mm_xor_si128(msg2, msg0);
+    // Rounds 68-71.
+    e1 = _mm_sha1nexte_epu32(e1, msg1);
+    e0 = abcd;
+    msg2 = _mm_sha1msg2_epu32(msg2, msg1);
+    abcd = _mm_sha1rnds4_epu32(abcd, e1, 3);
+    msg3 = _mm_xor_si128(msg3, msg1);
+    // Rounds 72-75.
+    e0 = _mm_sha1nexte_epu32(e0, msg2);
+    e1 = abcd;
+    msg3 = _mm_sha1msg2_epu32(msg3, msg2);
+    abcd = _mm_sha1rnds4_epu32(abcd, e0, 3);
+    // Rounds 76-79.
+    e1 = _mm_sha1nexte_epu32(e1, msg3);
+    e0 = abcd;
+    abcd = _mm_sha1rnds4_epu32(abcd, e1, 3);
+
+    e0 = _mm_sha1nexte_epu32(e0, e0_save);
+    abcd = _mm_add_epi32(abcd, abcd_save);
+  }
+
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_shuffle_epi32(abcd, 0x1B));
+  state[4] = static_cast<std::uint32_t>(_mm_extract_epi32(e0, 3));
+}
+
+bool sha1_shani_supported() noexcept {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1");
+}
+
+#else
+
+void sha1_blocks_shani(std::uint32_t* state, const std::uint8_t* data,
+                       std::size_t n_blocks) noexcept {
+  sha1_blocks_portable(state, data, n_blocks);
+}
+
+bool sha1_shani_supported() noexcept { return false; }
+
+#endif
+
+}  // namespace detail
+
+namespace {
+
+using BlockFn = void (*)(std::uint32_t*, const std::uint8_t*,
+                         std::size_t) noexcept;
+
+/// The compression kernel, chosen once per process from the running CPU.
+BlockFn block_kernel() noexcept {
+  static const BlockFn kernel = detail::sha1_shani_supported()
+                                    ? detail::sha1_blocks_shani
+                                    : detail::sha1_blocks_portable;
+  return kernel;
+}
+
+}  // namespace
+
 Sha1::Sha1() noexcept {
   h_ = {0x67452301u, 0xEFCDAB89u, 0x98BADCFEu, 0x10325476u, 0xC3D2E1F0u};
 }
 
 void Sha1::update(std::span<const std::uint8_t> data) noexcept {
+  const BlockFn compress = block_kernel();
   total_bytes_ += data.size();
   std::size_t offset = 0;
   if (buffered_ > 0) {
@@ -55,13 +308,14 @@ void Sha1::update(std::span<const std::uint8_t> data) noexcept {
     buffered_ += take;
     offset = take;
     if (buffered_ == 64) {
-      process_block(buffer_.data());
+      compress(h_.data(), buffer_.data(), 1);
       buffered_ = 0;
     }
   }
-  while (offset + 64 <= data.size()) {
-    process_block(data.data() + offset);
-    offset += 64;
+  const std::size_t n_blocks = (data.size() - offset) / 64;
+  if (n_blocks > 0) {
+    compress(h_.data(), data.data() + offset, n_blocks);
+    offset += n_blocks * 64;
   }
   if (offset < data.size()) {
     std::memcpy(buffer_.data(), data.data() + offset, data.size() - offset);
@@ -87,7 +341,7 @@ Sha1Digest Sha1::finish() noexcept {
   }
   // Bypass update()'s total_bytes_ accounting for the length field itself.
   std::memcpy(buffer_.data() + buffered_, len_bytes, 8);
-  process_block(buffer_.data());
+  block_kernel()(h_.data(), buffer_.data(), 1);
   buffered_ = 0;
 
   Sha1Digest d;
@@ -98,47 +352,6 @@ Sha1Digest Sha1::finish() noexcept {
     d.bytes[4 * i + 3] = static_cast<std::uint8_t>(h_[i]);
   }
   return d;
-}
-
-void Sha1::process_block(const std::uint8_t* block) noexcept {
-  std::uint32_t w[80];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
-           (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
-           static_cast<std::uint32_t>(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 80; ++i) {
-    w[i] = rotl32(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
-  }
-  std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3], e = h_[4];
-  for (int i = 0; i < 80; ++i) {
-    std::uint32_t f, k;
-    if (i < 20) {
-      f = (b & c) | (~b & d);
-      k = 0x5A827999u;
-    } else if (i < 40) {
-      f = b ^ c ^ d;
-      k = 0x6ED9EBA1u;
-    } else if (i < 60) {
-      f = (b & c) | (b & d) | (c & d);
-      k = 0x8F1BBCDCu;
-    } else {
-      f = b ^ c ^ d;
-      k = 0xCA62C1D6u;
-    }
-    const std::uint32_t temp = rotl32(a, 5) + f + e + k + w[i];
-    e = d;
-    d = c;
-    c = rotl32(b, 30);
-    b = a;
-    a = temp;
-  }
-  h_[0] += a;
-  h_[1] += b;
-  h_[2] += c;
-  h_[3] += d;
-  h_[4] += e;
 }
 
 Sha1Digest Sha1::hash(std::string_view data) noexcept {

@@ -2,6 +2,11 @@
 // bencoded "info" dictionary; we implement the real digest so that torrents
 // produced by the simulator are wire-accurate and infohash equality behaves
 // exactly as in deployed BitTorrent.
+//
+// The block compression has two kernels: a portable one, and one built on
+// the x86 SHA extensions (SHA-NI). The SHA-NI kernel is compiled for that
+// target alone and chosen once per process when the CPU reports the
+// extension, so one binary runs everywhere and gives identical digests.
 #pragma once
 
 #include <array>
@@ -44,13 +49,26 @@ class Sha1 {
   static Sha1Digest hash(std::span<const std::uint8_t> data) noexcept;
 
  private:
-  void process_block(const std::uint8_t* block) noexcept;
-
   std::array<std::uint32_t, 5> h_{};
   std::array<std::uint8_t, 64> buffer_{};
   std::uint64_t total_bytes_ = 0;
   std::size_t buffered_ = 0;
 };
+
+namespace detail {
+
+/// Compresses `n_blocks` consecutive 64-byte blocks into the five-word
+/// chaining `state`. Exposed so tests can check each kernel directly.
+void sha1_blocks_portable(std::uint32_t* state, const std::uint8_t* data,
+                          std::size_t n_blocks) noexcept;
+/// SHA-NI kernel; call only when sha1_shani_supported() (on non-x86 builds
+/// it forwards to the portable kernel).
+void sha1_blocks_shani(std::uint32_t* state, const std::uint8_t* data,
+                       std::size_t n_blocks) noexcept;
+/// True when the running CPU has the SHA and SSE4.1 extensions.
+bool sha1_shani_supported() noexcept;
+
+}  // namespace detail
 
 }  // namespace btpub
 

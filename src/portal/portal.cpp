@@ -76,7 +76,8 @@ std::optional<ContentPage> Portal::page(TorrentId id, SimTime now) const {
   return page;
 }
 
-std::optional<std::string> Portal::fetch_torrent(TorrentId id, SimTime now) const {
+std::optional<std::string_view> Portal::fetch_torrent(TorrentId id,
+                                                      SimTime now) const {
   if (id >= listings_.size()) return std::nullopt;
   const Listing& l = listings_[id];
   if (l.page.published_at > now || removed_by(l, now)) return std::nullopt;

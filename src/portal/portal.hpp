@@ -115,7 +115,10 @@ class Portal {
   std::optional<ContentPage> page(TorrentId id, SimTime now) const;
 
   /// Serves .torrent bytes; nullopt when unknown, unpublished or removed.
-  std::optional<std::string> fetch_torrent(TorrentId id, SimTime now) const;
+  /// The view points into the portal's own copy and stays valid until the
+  /// next publish().
+  std::optional<std::string_view> fetch_torrent(TorrentId id,
+                                                SimTime now) const;
 
   /// Emulates downloading & inspecting the payload, as the authors did for
   /// sampled files. nullopt once the content is removed — exactly what the

@@ -4,58 +4,44 @@
 #include <stdexcept>
 
 #include "bencode/bencode.hpp"
+#include "util/rng.hpp"
 #include "util/strings.hpp"
 
 namespace btpub {
 namespace {
 
-/// Deterministic fake piece hashes: SHA-1(salted identity || index). The
-/// payload itself is never materialised; what matters downstream is that
-/// pieces_blob_ has the right shape and feeds a stable infohash.
-std::string synthesize_pieces(std::string_view name, std::int64_t total,
-                              std::int64_t piece_length, std::string_view salt,
-                              std::size_t n_pieces) {
-  std::string blob;
-  blob.reserve(n_pieces * 20);
-  for (std::size_t i = 0; i < n_pieces; ++i) {
-    Sha1 ctx;
-    ctx.update(name);
-    ctx.update(salt);
-    ctx.update(std::to_string(total));
-    ctx.update(std::to_string(piece_length));
-    ctx.update(std::to_string(i));
-    const Sha1Digest digest = ctx.finish();
-    blob.append(reinterpret_cast<const char*>(digest.bytes.data()),
-                digest.bytes.size());
-  }
-  return blob;
-}
-
-bencode::Value build_info_dict(const std::string& name, std::int64_t piece_length,
-                               const std::string& pieces_blob,
-                               const std::vector<FileEntry>& files,
-                               bool multi_file) {
-  bencode::Dict info;
-  info.emplace("name", name);
-  info.emplace("piece length", piece_length);
-  info.emplace("pieces", pieces_blob);
-  if (multi_file) {
-    bencode::List file_list;
-    for (const FileEntry& f : files) {
-      bencode::List path_parts;
-      for (const std::string_view part : split_views(f.path, '/')) {
-        path_parts.emplace_back(std::string(part));
-      }
-      bencode::Dict fd;
-      fd.emplace("length", f.length);
-      fd.emplace("path", std::move(path_parts));
-      file_list.emplace_back(std::move(fd));
+/// Fills the `size`-byte pieces blob at `out`. The payload is never
+/// materialised, so nothing can verify piece hashes; they only need the
+/// right shape and a stable, torrent-specific value that feeds the
+/// infohash. One SHA-1 over the torrent's identity (name, salt, total size,
+/// piece length) keys an xoshiro256** stream, which writes every byte.
+void synthesize_pieces(char* out, std::size_t size, std::string_view name,
+                       std::string_view salt, std::int64_t total,
+                       std::int64_t piece_length) {
+  std::string identity;
+  bencode::Writer w(identity);
+  w.begin_list();
+  w.string(name);
+  w.string(salt);
+  w.integer(total);
+  w.integer(piece_length);
+  w.end();
+  const Sha1Digest key = Sha1::hash(identity);
+  std::uint64_t seed = 0;
+  for (int i = 0; i < 8; ++i) seed = (seed << 8) | key.bytes[i];
+  Rng rng(seed);
+  // Little-endian words; the fixed-width byte loop compiles to one store.
+  std::size_t at = 0;
+  for (; at + 8 <= size; at += 8) {
+    const std::uint64_t word = rng.next();
+    for (int b = 0; b < 8; ++b) {
+      out[at + b] = static_cast<char>(word >> (8 * b));
     }
-    info.emplace("files", std::move(file_list));
-  } else {
-    info.emplace("length", files.front().length);
   }
-  return bencode::Value(std::move(info));
+  if (at < size) {
+    std::uint64_t word = rng.next();
+    for (; at < size; ++at, word >>= 8) out[at] = static_cast<char>(word);
+  }
 }
 
 }  // namespace
@@ -82,23 +68,62 @@ Metainfo Metainfo::make(std::string announce_url, std::string name,
   const std::int64_t total = m.total_size();
   m.n_pieces_ = static_cast<std::size_t>((total + piece_length - 1) / piece_length);
   if (m.n_pieces_ == 0) m.n_pieces_ = 1;
-  m.pieces_blob_ =
-      synthesize_pieces(m.name_, total, piece_length, salt, m.n_pieces_);
-  const bencode::Value info =
-      build_info_dict(m.name_, m.piece_length_, m.pieces_blob_, m.files_,
-                      m.multi_file_);
-  m.infohash_ = Sha1::hash(bencode::encode(info));
-  return m;
-}
+  const std::size_t pieces_size = m.n_pieces_ * 20;
 
-std::string Metainfo::encode() const {
-  bencode::Dict root;
-  root.emplace("announce", announce_);
-  if (!comment_.empty()) root.emplace("comment", comment_);
-  bencode::Value info =
-      build_info_dict(name_, piece_length_, pieces_blob_, files_, multi_file_);
-  root.emplace("info", std::move(info));
-  return bencode::encode(bencode::Value(std::move(root)));
+  // One pass in canonical key order, into a buffer sized up front so the
+  // pieces blob is written in place and the whole document is one
+  // allocation.
+  std::string& out = m.bytes_;
+  std::size_t size_hint = pieces_size + m.announce_.size() +
+                          m.comment_.size() + m.name_.size() + 128;
+  for (const FileEntry& f : m.files_) size_hint += f.path.size() + 64;
+  out.reserve(size_hint);
+  bencode::Writer w(out);
+  w.begin_dict();
+  w.key("announce");
+  w.string(m.announce_);
+  if (!m.comment_.empty()) {
+    w.key("comment");
+    w.string(m.comment_);
+  }
+  w.key("info");
+  const std::size_t info_begin = out.size();
+  w.begin_dict();
+  if (m.multi_file_) {
+    w.key("files");
+    w.begin_list();
+    for (const FileEntry& f : m.files_) {
+      w.begin_dict();
+      w.key("length");
+      w.integer(f.length);
+      w.key("path");
+      w.begin_list();
+      for (const std::string_view part : split_views(f.path, '/')) {
+        w.string(part);
+      }
+      w.end();
+      w.end();
+    }
+    w.end();
+  } else {
+    w.key("length");
+    w.integer(m.files_.front().length);
+  }
+  w.key("name");
+  w.string(m.name_);
+  w.key("piece length");
+  w.integer(m.piece_length_);
+  w.key("pieces");
+  w.string_header(pieces_size);
+  const std::size_t pieces_at = out.size();
+  out.resize(pieces_at + pieces_size);
+  synthesize_pieces(out.data() + pieces_at, pieces_size, m.name_, salt, total,
+                    piece_length);
+  w.end();
+  m.infohash_ = Sha1::hash(
+      std::string_view(out).substr(info_begin, out.size() - info_begin));
+  w.end();
+  return m;
 }
 
 Metainfo Metainfo::parse(std::string_view torrent_bytes) {
@@ -114,12 +139,12 @@ Metainfo Metainfo::parse(std::string_view torrent_bytes) {
     throw std::invalid_argument("Metainfo: missing piece length");
   }
   m.piece_length_ = *piece_length;
-  const auto pieces = info.find_string("pieces");
-  if (!pieces || pieces->size() % 20 != 0) {
+  const bencode::Value* pieces = info.find("pieces");
+  if (pieces == nullptr || !pieces->is_string() ||
+      pieces->as_string().size() % 20 != 0) {
     throw std::invalid_argument("Metainfo: malformed pieces blob");
   }
-  m.pieces_blob_ = *pieces;
-  m.n_pieces_ = m.pieces_blob_.size() / 20;
+  m.n_pieces_ = pieces->as_string().size() / 20;
   if (const bencode::Value* file_list = info.find("files")) {
     m.multi_file_ = true;
     for (const bencode::Value& entry : file_list->as_list()) {
@@ -142,7 +167,11 @@ Metainfo Metainfo::parse(std::string_view torrent_bytes) {
     f.length = *length;
     m.files_.push_back(std::move(f));
   }
-  m.infohash_ = Sha1::hash(bencode::encode(info));
+  // BEP 3 defines the infohash over the info dict's bytes as they appear in
+  // the file. decode() accepts only canonical bencoding, so those bytes are
+  // exactly the re-encoding of `info`; hashing them in place skips a copy.
+  m.infohash_ = Sha1::hash(*bencode::find_raw(torrent_bytes, "info"));
+  m.bytes_ = torrent_bytes;
   return m;
 }
 

@@ -148,5 +148,32 @@ TEST(Equality, DeepComparison) {
   EXPECT_FALSE(decode("i1e") == decode("1:1"));
 }
 
+TEST(FindRaw, ReturnsEncodedValueBytes) {
+  const std::string doc = "d1:ai1e4:infod4:name1:x6:pieces3:abce1:zl1:qee";
+  EXPECT_EQ(find_raw(doc, "a"), "i1e");
+  EXPECT_EQ(find_raw(doc, "info"), "d4:name1:x6:pieces3:abce");
+  EXPECT_EQ(find_raw(doc, "z"), "l1:qe");
+  EXPECT_EQ(find_raw(doc, "absent"), std::nullopt);
+  for (const char* key : {"a", "info", "z"}) {
+    EXPECT_EQ(*find_raw(doc, key), encode(decode(doc).at(key))) << key;
+  }
+}
+
+TEST(FindRaw, ValidatesLikeDecode) {
+  EXPECT_THROW(find_raw("li1ee", "a"), Error);          // not a dict
+  EXPECT_THROW(find_raw("d1:ai1ee1:x", "a"), Error);    // trailing bytes
+  EXPECT_THROW(find_raw("d1:bi1e1:ai2ee", "a"), Error); // unsorted keys
+  EXPECT_THROW(find_raw("d1:ai01ee", "a"), Error);      // leading zero
+  EXPECT_THROW(find_raw("d1:a5:abce", "a"), Error);     // string overrun
+  EXPECT_THROW(find_raw("d1:al1:xe", "a"), Error);      // truncated
+  EXPECT_THROW(find_raw("d1:ax1ee", "a"), Error);       // bad value byte
+  std::string deep = "d1:a";
+  for (int i = 0; i < 100; ++i) deep += 'l';
+  for (int i = 0; i < 100; ++i) deep += 'e';
+  deep += 'e';
+  EXPECT_THROW(find_raw(deep, "a"), Error);
+  EXPECT_THROW(decode(deep), Error);
+}
+
 }  // namespace
 }  // namespace btpub::bencode

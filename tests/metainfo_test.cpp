@@ -119,10 +119,79 @@ TEST(Metainfo, ParseRejectsBadPiecesBlob) {
                std::invalid_argument);
 }
 
+Metainfo sample_nested() {
+  return Metainfo::make("http://tr/a", "pack",
+                        {{"disc1/part1.rar", 1000},
+                         {"disc1/sub/part2.rar", 1000},
+                         {"readme/info.txt", 10}},
+                        16 * 1024, "s", "a comment");
+}
+
+std::string pieces_of(const Metainfo& m) {
+  return bencode::decode(m.encode()).at("info").at("pieces").as_string();
+}
+
+Sha1Digest reencoded_info_hash(std::string_view torrent_bytes) {
+  return Sha1::hash(bencode::encode(bencode::decode(torrent_bytes).at("info")));
+}
+
 TEST(Metainfo, EncodedFormIsCanonicalBencode) {
-  // decode(encode()) must not throw and re-encode identically.
-  const std::string bytes = sample_multi().encode();
-  EXPECT_EQ(bencode::encode(bencode::decode(bytes)), bytes);
+  // make() writes the bytes without a Value tree; they must be exactly
+  // what the tree encoder produces from their decoding.
+  for (const Metainfo& m : {sample_single(), sample_multi(), sample_nested()}) {
+    const std::string& bytes = m.encode();
+    EXPECT_EQ(bencode::encode(bencode::decode(bytes)), bytes);
+  }
+}
+
+TEST(Metainfo, InfohashIsSha1OfReencodedInfo) {
+  for (const Metainfo& m : {sample_single(), sample_multi(), sample_nested()}) {
+    EXPECT_EQ(m.infohash(), reencoded_info_hash(m.encode()));
+  }
+}
+
+TEST(Metainfo, PiecesBlobIsTwentyBytesPerPiece) {
+  for (const Metainfo& m : {sample_single(), sample_multi(), sample_nested()}) {
+    EXPECT_EQ(pieces_of(m).size(), 20 * m.piece_count());
+  }
+}
+
+TEST(Metainfo, PiecesBlobIsStableAndSalted) {
+  const std::string blob = pieces_of(sample_single());
+  EXPECT_EQ(pieces_of(sample_single()), blob);
+  const Metainfo resalted =
+      Metainfo::make("http://tr.example/announce", "Some.Movie.2010.avi",
+                     {{"Some.Movie.2010.avi", 734003200}}, 256 * 1024, "salt9");
+  const std::string other = pieces_of(resalted);
+  ASSERT_EQ(other.size(), blob.size());
+  EXPECT_NE(other, blob);
+  // A different key gives an unrelated stream, not a shifted copy: the
+  // first piece hash differs too.
+  EXPECT_NE(other.substr(0, 20), blob.substr(0, 20));
+}
+
+TEST(Metainfo, ParseHashesInputInfoBytes) {
+  // parse() hashes the info dict's bytes as they appear in the input. On
+  // any input the decoder accepts, that equals the SHA-1 of the re-encoded
+  // info value, including keys Metainfo itself does not model.
+  for (const Metainfo& m : {sample_single(), sample_multi(), sample_nested()}) {
+    EXPECT_EQ(Metainfo::parse(m.encode()).infohash(),
+              reencoded_info_hash(m.encode()));
+  }
+  bencode::Dict info;
+  info.emplace("length", std::int64_t{5});
+  info.emplace("name", "x");
+  info.emplace("piece length", std::int64_t{16384});
+  info.emplace("pieces", std::string(20, 'p'));
+  info.emplace("private", std::int64_t{1});
+  bencode::Dict root;
+  root.emplace("announce", "http://t/a");
+  root.emplace("created by", "client/1.0");
+  root.emplace("info", bencode::Value(std::move(info)));
+  const std::string bytes = bencode::encode(bencode::Value(std::move(root)));
+  const Metainfo parsed = Metainfo::parse(bytes);
+  EXPECT_EQ(parsed.infohash(), reencoded_info_hash(bytes));
+  EXPECT_EQ(parsed.encode(), bytes);
 }
 
 class PieceLengthSweep : public ::testing::TestWithParam<std::int64_t> {};

@@ -54,7 +54,11 @@ TEST(Portal, FetchTorrentAndPayload) {
   Portal portal("test");
   const TorrentId id =
       portal.publish(make_request("u1", "A", PayloadKind::FakeMalware), 100);
-  EXPECT_EQ(portal.fetch_torrent(id, 100), "d4:infod4:name1:xee");
+  const std::optional<std::string_view> bytes = portal.fetch_torrent(id, 100);
+  ASSERT_TRUE(bytes.has_value());
+  EXPECT_EQ(*bytes, "d4:infod4:name1:xee");
+  // A view of the portal's one stored copy, not a fresh string per fetch.
+  EXPECT_EQ(portal.fetch_torrent(id, 200)->data(), bytes->data());
   EXPECT_EQ(portal.download_payload(id, 100), PayloadKind::FakeMalware);
   EXPECT_FALSE(portal.fetch_torrent(id, 99).has_value());
 }
