@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   AsciiTable table("Figure 5 — estimated money flows");
   table.header({"flow", "estimate"});
   table.row({"downloaders -> publisher sites (visits monetised via ads)",
-             "$" + humanize(flows.publishers_income_per_day_usd) + " / day"});
+             std::string("$") + humanize(flows.publishers_income_per_day_usd) + " / day"});
   table.row({"publishers -> hosting (OVH servers found in crawl)",
              std::to_string(flows.hosting_servers) + " servers"});
   table.row({"hosting income (servers x 300 EUR/month)",

@@ -70,8 +70,8 @@ int main(int argc, char** argv) {
   for (const IncomeRow& row : income_table(classification, ecosystem.websites(),
                                            ecosystem.appraisal_panel())) {
     incomes.row({std::string(to_string(row.cls)), std::to_string(row.sites),
-                 "$" + humanize(row.value_usd.median),
-                 "$" + humanize(row.daily_income_usd.median),
+                 std::string("$") + humanize(row.value_usd.median),
+                 std::string("$") + humanize(row.daily_income_usd.median),
                  humanize(row.daily_visits.median)});
   }
   incomes.print();

@@ -1,22 +1,30 @@
 #include "analysis/demographics.hpp"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <map>
 
 #include "util/parallel.hpp"
 
 namespace btpub {
 namespace {
 
-std::vector<DemographicRow> to_rows(
-    const std::unordered_map<std::string, std::size_t>& counts,
-    std::size_t total, std::size_t top_k) {
+/// Folds per-ISP tallies (indexed by IspId) into rows labelled by each
+/// ISP's `label` field: ISPs sharing a label sum into one row. Rows come
+/// out by count descending, ties by label ascending; `share` is count /
+/// total.
+std::vector<DemographicRow> to_rows(const GeoDb& geo,
+                                    const std::vector<std::size_t>& by_isp,
+                                    std::string IspInfo::*label,
+                                    std::size_t total, std::size_t top_k) {
+  std::map<std::string_view, std::size_t> counts;
+  for (IspId id = 0; id < by_isp.size(); ++id) {
+    if (by_isp[id] != 0) counts[geo.isp(id).*label] += by_isp[id];
+  }
   std::vector<DemographicRow> rows;
   rows.reserve(counts.size());
   for (const auto& [label, count] : counts) {
     DemographicRow row;
-    row.label = label;
+    row.label = std::string(label);
     row.downloaders = count;
     row.share = total ? static_cast<double>(count) / static_cast<double>(total)
                       : 0.0;
@@ -33,68 +41,31 @@ std::vector<DemographicRow> to_rows(
   return rows;
 }
 
-/// Per-shard geo aggregation over a slice of the distinct-IP list.
-struct GeoCounts {
-  std::size_t located = 0;
-  std::unordered_map<std::string, std::size_t> by_country;
-  std::unordered_map<std::string, std::size_t> by_isp;
-};
-
-/// The demographics core over any downloader source. `for_each_ip(t, fn)`
-/// invokes fn per downloader IP of torrent t. Two sharded passes: the
-/// dedup scan emits each shard's locally-new IPs (merged into the global
-/// distinct set in span order), then the geo lookups fan out over the
-/// distinct list and merge by commutative sums — both byte-identical to
-/// the serial single pass.
-template <typename ForEachIp>
-DownloaderDemographics demographics_impl(std::size_t torrent_count,
+/// The demographics core over the ascending distinct downloader IPs. The
+/// geo lookups fan out over slices of that list, each tallying hits into a
+/// dense per-IspId array; the shard arrays merge by commutative sums, so
+/// the breakdown is byte-identical to serial at any thread count.
+DownloaderDemographics demographics_impl(const std::vector<std::uint32_t>& distinct,
                                          const GeoDb& geo, std::size_t top_k,
-                                         std::size_t threads,
-                                         ForEachIp&& for_each_ip) {
+                                         std::size_t threads) {
   DownloaderDemographics demo;
+  demo.total_distinct_ips = distinct.size();
 
   auto shards = sharded_scan(
-      torrent_count, threads, [&](std::size_t begin, std::size_t end) {
-        std::unordered_set<IpAddress> local_seen;
-        std::vector<IpAddress> local_new;
-        for (std::size_t t = begin; t < end; ++t) {
-          for_each_ip(t, [&](const IpAddress& ip) {
-            if (local_seen.insert(ip).second) local_new.push_back(ip);
-          });
-        }
-        return local_new;
-      });
-
-  std::unordered_set<IpAddress> seen;
-  std::vector<IpAddress> distinct;
-  for (const auto& shard : shards) {
-    for (const IpAddress& ip : shard) {
-      if (seen.insert(ip).second) distinct.push_back(ip);
-    }
-  }
-  demo.total_distinct_ips = seen.size();
-
-  auto counts = sharded_scan(
       distinct.size(), threads, [&](std::size_t begin, std::size_t end) {
-        GeoCounts local;
+        std::vector<std::size_t> by_isp(geo.isp_count(), 0);
         for (std::size_t i = begin; i < end; ++i) {
-          const auto loc = geo.lookup(distinct[i]);
-          if (!loc) continue;
-          ++local.located;
-          ++local.by_country[std::string(loc->country)];
-          ++local.by_isp[std::string(loc->isp_name)];
+          if (const auto loc = geo.lookup(IpAddress(distinct[i]))) ++by_isp[loc->isp];
         }
-        return local;
+        return by_isp;
       });
-  std::unordered_map<std::string, std::size_t> by_country;
-  std::unordered_map<std::string, std::size_t> by_isp;
-  for (const GeoCounts& shard : counts) {
-    demo.located_ips += shard.located;
-    for (const auto& [label, count] : shard.by_country) by_country[label] += count;
-    for (const auto& [label, count] : shard.by_isp) by_isp[label] += count;
+  std::vector<std::size_t> by_isp(geo.isp_count(), 0);
+  for (const auto& shard : shards) {
+    for (IspId id = 0; id < by_isp.size(); ++id) by_isp[id] += shard[id];
   }
-  demo.by_country = to_rows(by_country, demo.located_ips, top_k);
-  demo.by_isp = to_rows(by_isp, demo.located_ips, top_k);
+  for (const std::size_t count : by_isp) demo.located_ips += count;
+  demo.by_country = to_rows(geo, by_isp, &IspInfo::country, demo.located_ips, top_k);
+  demo.by_isp = to_rows(geo, by_isp, &IspInfo::name, demo.located_ips, top_k);
   return demo;
 }
 
@@ -104,24 +75,16 @@ DownloaderDemographics downloader_demographics(const Dataset& dataset,
                                                const GeoDb& geo,
                                                std::size_t top_k,
                                                std::size_t threads) {
-  return demographics_impl(
-      dataset.downloaders.size(), geo, top_k, threads,
-      [&dataset](std::size_t t, auto&& fn) {
-        for (const IpAddress& ip : dataset.downloaders[t]) fn(ip);
-      });
+  return demographics_impl(dataset.distinct_downloader_ips(threads), geo, top_k,
+                           threads);
 }
 
 DownloaderDemographics downloader_demographics(const CompactDatasetView& view,
                                                const GeoDb& geo,
                                                std::size_t top_k,
                                                std::size_t threads) {
-  return demographics_impl(
-      view.torrents.size(), geo, top_k, threads,
-      [&view](std::size_t t, auto&& fn) {
-        const TorrentRecordPod& pod = view.torrents[t];
-        const std::uint32_t n = pod.downloaders.size();
-        for (std::uint32_t i = 0; i < n; ++i) fn(view.downloader_ip(pod, i));
-      });
+  return demographics_impl(view.distinct_downloader_ips(threads), geo, top_k,
+                           threads);
 }
 
 namespace {
@@ -131,17 +94,17 @@ std::vector<DemographicRow> publisher_countries_impl(std::size_t torrent_count,
                                                      const GeoDb& geo,
                                                      std::size_t top_k,
                                                      RowOf&& publisher_ip_of) {
-  std::unordered_map<std::string, std::size_t> counts;
+  std::vector<std::size_t> by_isp(geo.isp_count(), 0);
   std::size_t total = 0;
   for (std::size_t t = 0; t < torrent_count; ++t) {
     const std::optional<IpAddress> ip = publisher_ip_of(t);
     if (!ip) continue;
     const auto loc = geo.lookup(*ip);
     if (!loc) continue;
-    ++counts[std::string(loc->country)];
+    ++by_isp[loc->isp];
     ++total;
   }
-  return to_rows(counts, total, top_k);
+  return to_rows(geo, by_isp, &IspInfo::country, total, top_k);
 }
 
 }  // namespace

@@ -29,11 +29,12 @@ struct DownloaderDemographics {
 };
 
 /// Maps every distinct downloader IP and aggregates by country and ISP.
-/// `top_k` limits both breakdowns (0 = unlimited). `threads` shards both
-/// the per-torrent dedup scan and the geo lookups over a worker pool (0 =
-/// hardware concurrency); shard results merge in span order / by
-/// commutative sums, so the breakdown is byte-identical to serial at any
-/// thread count.
+/// `top_k` limits both breakdowns (0 = unlimited). `threads` fans out both
+/// the per-torrent IP gather and the geo lookups over a worker pool (0 =
+/// hardware concurrency); the distinct set is sorted and the per-ISP
+/// tallies merge by commutative sums, so the breakdown is byte-identical
+/// to serial at any thread count. The compact-view overload throws
+/// std::runtime_error when a torrent's downloader span is out of bounds.
 DownloaderDemographics downloader_demographics(const Dataset& dataset,
                                                const GeoDb& geo,
                                                std::size_t top_k = 10,

@@ -4,9 +4,9 @@
 #include <cstring>
 #include <limits>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "net/compact.hpp"
+#include "util/distinct.hpp"
 
 namespace btpub {
 namespace {
@@ -62,13 +62,24 @@ std::size_t CompactDatasetView::with_publisher_ip() const noexcept {
 }
 
 std::size_t CompactDatasetView::distinct_ips_global() const {
-  std::unordered_set<IpAddress> ips;
-  for (const TorrentRecordPod& r : torrents) {
-    for (std::uint32_t i = 0; i < r.downloaders.size(); ++i) {
-      ips.insert(downloader_ip(r, i));
-    }
-  }
-  return ips.size();
+  return distinct_downloader_ips().size();
+}
+
+std::vector<std::uint32_t> CompactDatasetView::distinct_downloader_ips(
+    std::size_t threads) const {
+  const std::size_t peer_entries = peer_blob.size() / 6;
+  return gather_distinct_u32(
+      torrents.size(), threads,
+      [&](std::size_t t) {
+        check_span(torrents[t].downloaders, peer_entries, "downloader span");
+        return std::size_t{torrents[t].downloaders.size()};
+      },
+      [&](std::size_t t, std::uint32_t* out) {
+        const TorrentRecordPod& r = torrents[t];
+        for (std::uint32_t i = 0; i < r.downloaders.size(); ++i) {
+          *out++ = downloader_ip(r, i).value();
+        }
+      });
 }
 
 std::size_t CompactDatasetView::ip_observations_total() const noexcept {

@@ -152,6 +152,12 @@ struct CompactDatasetView {
   std::size_t with_publisher_ip() const noexcept;
   std::size_t distinct_ips_global() const;
   std::size_t ip_observations_total() const noexcept;
+
+  /// The distinct downloader IPs across all torrents as ascending
+  /// IpAddress::value()s; the gather fans out over `threads` workers (0 =
+  /// hardware concurrency). Throws std::runtime_error when a torrent's
+  /// downloader span lies outside peer_blob.
+  std::vector<std::uint32_t> distinct_downloader_ips(std::size_t threads = 1) const;
 };
 
 /// Owning struct-of-arrays dataset.

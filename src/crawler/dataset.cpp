@@ -1,6 +1,6 @@
 #include "crawler/dataset.hpp"
 
-#include <unordered_set>
+#include "util/distinct.hpp"
 
 namespace btpub {
 
@@ -33,11 +33,16 @@ std::size_t Dataset::with_publisher_ip() const {
 }
 
 std::size_t Dataset::distinct_ips_global() const {
-  std::unordered_set<IpAddress> ips;
-  for (const auto& torrent_ips : downloaders) {
-    ips.insert(torrent_ips.begin(), torrent_ips.end());
-  }
-  return ips.size();
+  return distinct_downloader_ips().size();
+}
+
+std::vector<std::uint32_t> Dataset::distinct_downloader_ips(std::size_t threads) const {
+  return gather_distinct_u32(
+      downloaders.size(), threads,
+      [this](std::size_t t) { return downloaders[t].size(); },
+      [this](std::size_t t, std::uint32_t* out) {
+        for (const IpAddress& ip : downloaders[t]) *out++ = ip.value();
+      });
 }
 
 std::size_t Dataset::ip_observations_total() const {

@@ -33,7 +33,7 @@ class CrawlerParallelTest : public ::testing::Test {
     // in the engine would show up in the serialized bytes.
     for (std::uint32_t i = 0; i < 12; ++i) {
       const TorrentId id =
-          add_torrent("t" + std::to_string(i), /*publisher_nat=*/i % 5 == 3,
+          add_torrent(std::string("t") + std::to_string(i), /*publisher_nat=*/i % 5 == 3,
                       /*extra_leechers=*/3 + i, /*extra_seeders=*/i % 4 == 2,
                       /*publish_at=*/minutes(10) + hours(2) * i,
                       /*publisher_stay=*/hours(3 + i % 3));

@@ -116,7 +116,7 @@ TEST(Rss, PortalFeedIsParseable) {
     request.title = "Item & <" + std::to_string(i) + ">";
     request.category = ContentCategory::Music;
     request.username = "user" + std::to_string(i);
-    request.torrent_bytes = "x";
+    request.torrent_bytes = std::string("x");
     request.size_bytes = 1000 + i;
     portal.publish(std::move(request), 100 + i);
   }
