@@ -35,7 +35,10 @@ int main(int argc, char** argv) {
               dataset.distinct_ips_global());
 
   // 3. Analyse: who publishes, and how skewed is it?
-  const IdentityAnalysis identity(dataset, ecosystem.geo(), 40);
+  // The analysis passes read the compact struct-of-arrays form; compact
+  // once and keep it alive while they run.
+  const CompactDataset compact = compact_dataset(dataset);
+  const IdentityAnalysis identity(compact.view(), ecosystem.geo(), 40);
   const std::vector<double> xs{3, 10, 50, 100};
   const ContributionCurve curve = contribution_curve(identity, xs);
 

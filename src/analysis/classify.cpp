@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cctype>
+#include <stdexcept>
 
 #include "util/parallel.hpp"
 #include "util/strings.hpp"
@@ -98,44 +99,45 @@ std::optional<std::string> domain_from_payload(
   return std::nullopt;
 }
 
-std::optional<PromoFinding> find_promotion(const TorrentRecord& record) {
+namespace {
+
+/// The channel precedence both find_promotion overloads share: the textbox
+/// domain wins over the title's, which wins over the payload's; every
+/// channel that carries one is flagged.
+std::optional<PromoFinding> promotion_from(std::string_view textbox,
+                                           std::string_view title,
+                                           std::optional<std::string> payload) {
   PromoFinding finding;
-  if (const auto domain = domain_from_textbox(record.textbox)) {
-    finding.domain = *domain;
+  if (auto domain = domain_from_textbox(textbox)) {
+    finding.domain = std::move(*domain);
     finding.in_textbox = true;
   }
-  if (const auto domain = domain_from_title(record.title)) {
-    if (finding.domain.empty()) finding.domain = *domain;
+  if (auto domain = domain_from_title(title)) {
+    if (finding.domain.empty()) finding.domain = std::move(*domain);
     finding.in_filename = true;
   }
-  if (const auto domain = domain_from_payload(record.payload_filenames)) {
-    if (finding.domain.empty()) finding.domain = *domain;
+  if (payload) {
+    if (finding.domain.empty()) finding.domain = std::move(*payload);
     finding.in_payload = true;
   }
   if (finding.domain.empty()) return std::nullopt;
   return finding;
 }
 
+}  // namespace
+
+std::optional<PromoFinding> find_promotion(const TorrentRecord& record) {
+  return promotion_from(record.textbox, record.title,
+                        domain_from_payload(record.payload_filenames));
+}
+
 std::optional<PromoFinding> find_promotion(const CompactDatasetView& view,
                                            const TorrentRecordPod& pod) {
-  PromoFinding finding;
-  if (const auto domain = domain_from_textbox(view.textbox(pod))) {
-    finding.domain = *domain;
-    finding.in_textbox = true;
-  }
-  if (const auto domain = domain_from_title(view.title(pod))) {
-    if (finding.domain.empty()) finding.domain = *domain;
-    finding.in_filename = true;
-  }
+  std::optional<std::string> payload;
   for (const StrRef& ref : view.filenames_of(pod)) {
-    if (auto domain = payload_domain_from_name(view.str(ref))) {
-      if (finding.domain.empty()) finding.domain = *domain;
-      finding.in_payload = true;
-      break;
-    }
+    if ((payload = payload_domain_from_name(view.str(ref)))) break;
   }
-  if (finding.domain.empty()) return std::nullopt;
-  return finding;
+  return promotion_from(view.textbox(pod), view.title(pod), std::move(payload));
 }
 
 std::vector<const PublisherProfile*> ClassificationResult::of_class(
@@ -168,21 +170,16 @@ std::vector<ClassificationResult::ClassShare> ClassificationResult::shares(
   return out;
 }
 
-namespace {
-
-/// The parallel classifier core. Phase 1 (serial): walk top() in order and
-/// draw every torrent sample from the shared rng — the exact serial
-/// consumption sequence. Phase 2 (parallel): build each profile into its
-/// own slot; promotion scans, language counts and site visits only read
-/// frozen state (the dataset, the const WebsiteDirectory). `promo_of` maps
-/// a torrent index to its promotion finding, `language_of` to its content
-/// language.
-template <typename PromoOf, typename LanguageOf>
-ClassificationResult classify_impl(const IdentityAnalysis& identity,
-                                   const WebsiteDirectory& websites,
-                                   std::size_t sample_per_publisher, Rng& rng,
-                                   std::size_t threads, PromoOf&& promo_of,
-                                   LanguageOf&& language_of) {
+/// Phase 1 (serial): walk top() in order and draw every torrent sample from
+/// the shared rng — the exact serial consumption sequence. Phase 2
+/// (parallel): build each profile into its own slot; promotion scans,
+/// language counts and site visits only read frozen state (the view, the
+/// const WebsiteDirectory).
+ClassificationResult classify_top_publishers(const CompactDatasetView& view,
+                                             const IdentityAnalysis& identity,
+                                             const WebsiteDirectory& websites,
+                                             std::size_t sample_per_publisher,
+                                             Rng& rng, std::size_t threads) {
   struct Item {
     const UsernameStats* stats;
     std::vector<std::size_t> sample;
@@ -215,7 +212,7 @@ ClassificationResult classify_impl(const IdentityAnalysis& identity,
     profile.download_count = stats->download_count;
 
     for (const std::size_t index : item.sample) {
-      const auto finding = promo_of(index);
+      const auto finding = find_promotion(view, view.torrents[index]);
       if (!finding) continue;
       if (profile.domain.empty()) profile.domain = finding->domain;
       profile.in_textbox |= finding->in_textbox;
@@ -223,10 +220,15 @@ ClassificationResult classify_impl(const IdentityAnalysis& identity,
       profile.in_payload |= finding->in_payload;
     }
 
-    // Dominant language over the full torrent list.
+    // Dominant language over the full torrent list. The language byte
+    // comes from the row as stored, so it is range-checked before use.
     std::array<std::size_t, 6> lang_counts{};
     for (const std::size_t index : stats->torrents) {
-      ++lang_counts[static_cast<std::size_t>(language_of(index))];
+      const std::uint8_t language = view.torrents[index].language;
+      if (language >= lang_counts.size()) {
+        throw std::runtime_error("classify: corrupt view: language byte");
+      }
+      ++lang_counts[language];
     }
     const auto max_it = std::max_element(lang_counts.begin(), lang_counts.end());
     if (*max_it * 2 >= stats->content_count &&
@@ -253,36 +255,6 @@ ClassificationResult classify_impl(const IdentityAnalysis& identity,
     result.profiles[p] = std::move(profile);
   });
   return result;
-}
-
-}  // namespace
-
-ClassificationResult classify_top_publishers(const Dataset& dataset,
-                                             const IdentityAnalysis& identity,
-                                             const WebsiteDirectory& websites,
-                                             std::size_t sample_per_publisher,
-                                             Rng& rng, std::size_t threads) {
-  return classify_impl(
-      identity, websites, sample_per_publisher, rng, threads,
-      [&dataset](std::size_t index) {
-        return find_promotion(dataset.torrents[index]);
-      },
-      [&dataset](std::size_t index) { return dataset.torrents[index].language; });
-}
-
-ClassificationResult classify_top_publishers(const CompactDatasetView& view,
-                                             const IdentityAnalysis& identity,
-                                             const WebsiteDirectory& websites,
-                                             std::size_t sample_per_publisher,
-                                             Rng& rng, std::size_t threads) {
-  return classify_impl(
-      identity, websites, sample_per_publisher, rng, threads,
-      [&view](std::size_t index) {
-        return find_promotion(view, view.torrents[index]);
-      },
-      [&view](std::size_t index) {
-        return static_cast<Language>(view.torrents[index].language);
-      });
 }
 
 }  // namespace btpub

@@ -37,10 +37,13 @@ std::optional<std::string> domain_from_title(std::string_view title);
 std::optional<std::string> domain_from_payload(
     std::span<const std::string> filenames);
 
-/// Scans one crawled torrent for a promoting URL in any channel.
+/// Scans one crawled torrent for a promoting URL in any channel. The
+/// domain comes from the textbox, else the title, else the payload
+/// listing. This overload serves live crawl records (the streaming
+/// classifier).
 std::optional<PromoFinding> find_promotion(const TorrentRecord& record);
-/// Span-native overload: reads title/textbox/payload filenames straight
-/// from the view's text arena.
+/// The same scan over one row of the view, reading title, textbox and
+/// payload filenames straight from its text arena.
 std::optional<PromoFinding> find_promotion(const CompactDatasetView& view,
                                            const TorrentRecordPod& pod);
 
@@ -90,13 +93,8 @@ struct ClassificationResult {
 /// drawn from `rng` serially in top() order before the fan-out, and each
 /// profile is then a pure function of its publisher's torrents written to
 /// its own result slot — byte-identical to serial at any thread count.
-ClassificationResult classify_top_publishers(const Dataset& dataset,
-                                             const IdentityAnalysis& identity,
-                                             const WebsiteDirectory& websites,
-                                             std::size_t sample_per_publisher,
-                                             Rng& rng, std::size_t threads = 1);
-
-/// Span-native overload over the compact view (in-memory or mmap-ed).
+/// Throws std::runtime_error on a row whose text, filename span or
+/// language byte lies outside the view's arrays.
 ClassificationResult classify_top_publishers(const CompactDatasetView& view,
                                              const IdentityAnalysis& identity,
                                              const WebsiteDirectory& websites,

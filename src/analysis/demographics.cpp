@@ -41,13 +41,17 @@ std::vector<DemographicRow> to_rows(const GeoDb& geo,
   return rows;
 }
 
-/// The demographics core over the ascending distinct downloader IPs. The
-/// geo lookups fan out over slices of that list, each tallying hits into a
-/// dense per-IspId array; the shard arrays merge by commutative sums, so
-/// the breakdown is byte-identical to serial at any thread count.
-DownloaderDemographics demographics_impl(const std::vector<std::uint32_t>& distinct,
-                                         const GeoDb& geo, std::size_t top_k,
-                                         std::size_t threads) {
+}  // namespace
+
+/// The geo lookups fan out over slices of the ascending distinct IP list,
+/// each tallying hits into a dense per-IspId array; the shard arrays merge
+/// by commutative sums, so the breakdown is byte-identical to serial at
+/// any thread count.
+DownloaderDemographics downloader_demographics(const CompactDatasetView& view,
+                                               const GeoDb& geo,
+                                               std::size_t top_k,
+                                               std::size_t threads) {
+  const std::vector<std::uint32_t> distinct = view.distinct_downloader_ips(threads);
   DownloaderDemographics demo;
   demo.total_distinct_ips = distinct.size();
 
@@ -69,67 +73,19 @@ DownloaderDemographics demographics_impl(const std::vector<std::uint32_t>& disti
   return demo;
 }
 
-}  // namespace
-
-DownloaderDemographics downloader_demographics(const Dataset& dataset,
-                                               const GeoDb& geo,
-                                               std::size_t top_k,
-                                               std::size_t threads) {
-  return demographics_impl(dataset.distinct_downloader_ips(threads), geo, top_k,
-                           threads);
-}
-
-DownloaderDemographics downloader_demographics(const CompactDatasetView& view,
-                                               const GeoDb& geo,
-                                               std::size_t top_k,
-                                               std::size_t threads) {
-  return demographics_impl(view.distinct_downloader_ips(threads), geo, top_k,
-                           threads);
-}
-
-namespace {
-
-template <typename RowOf>
-std::vector<DemographicRow> publisher_countries_impl(std::size_t torrent_count,
-                                                     const GeoDb& geo,
-                                                     std::size_t top_k,
-                                                     RowOf&& publisher_ip_of) {
+std::vector<DemographicRow> publisher_countries(const CompactDatasetView& view,
+                                                const GeoDb& geo,
+                                                std::size_t top_k) {
   std::vector<std::size_t> by_isp(geo.isp_count(), 0);
   std::size_t total = 0;
-  for (std::size_t t = 0; t < torrent_count; ++t) {
-    const std::optional<IpAddress> ip = publisher_ip_of(t);
-    if (!ip) continue;
-    const auto loc = geo.lookup(*ip);
+  for (const TorrentRecordPod& pod : view.torrents) {
+    if ((pod.flags & TorrentRecordPod::kHasPublisherIp) == 0) continue;
+    const auto loc = geo.lookup(IpAddress(pod.publisher_ip));
     if (!loc) continue;
     ++by_isp[loc->isp];
     ++total;
   }
   return to_rows(geo, by_isp, &IspInfo::country, total, top_k);
-}
-
-}  // namespace
-
-std::vector<DemographicRow> publisher_countries(const Dataset& dataset,
-                                                const GeoDb& geo,
-                                                std::size_t top_k) {
-  return publisher_countries_impl(
-      dataset.torrents.size(), geo, top_k, [&dataset](std::size_t t) {
-        return dataset.torrents[t].publisher_ip;
-      });
-}
-
-std::vector<DemographicRow> publisher_countries(const CompactDatasetView& view,
-                                                const GeoDb& geo,
-                                                std::size_t top_k) {
-  return publisher_countries_impl(
-      view.torrents.size(), geo, top_k,
-      [&view](std::size_t t) -> std::optional<IpAddress> {
-        const TorrentRecordPod& pod = view.torrents[t];
-        if ((pod.flags & TorrentRecordPod::kHasPublisherIp) == 0) {
-          return std::nullopt;
-        }
-        return IpAddress(pod.publisher_ip);
-      });
 }
 
 }  // namespace btpub

@@ -6,59 +6,6 @@
 #include "util/parallel.hpp"
 
 namespace btpub {
-namespace {
-
-/// The per-torrent fields the identity scan consumes, independent of the
-/// row source. The username view points into source-owned memory (Dataset
-/// strings or the compact text arena), stable for the scan's lifetime.
-struct RowView {
-  std::string_view username;
-  std::uint32_t ip = 0;
-  bool has_ip = false;
-  std::size_t downloads = 0;
-};
-
-struct DatasetAccess {
-  const Dataset* dataset;
-  std::size_t size() const { return dataset->torrents.size(); }
-  RowView row(std::size_t i) const {
-    const TorrentRecord& record = dataset->torrents[i];
-    RowView out;
-    out.username = record.username;
-    if (record.publisher_ip) {
-      out.has_ip = true;
-      out.ip = record.publisher_ip->value();
-    }
-    out.downloads = dataset->downloaders[i].size();
-    return out;
-  }
-  bool banned(std::string_view name) const {
-    const auto it = dataset->user_pages.find(std::string(name));
-    return it != dataset->user_pages.end() && it->second.banned;
-  }
-};
-
-struct ViewAccess {
-  const CompactDatasetView* view;
-  std::size_t size() const { return view->torrents.size(); }
-  RowView row(std::size_t i) const {
-    const TorrentRecordPod& pod = view->torrents[i];
-    RowView out;
-    out.username = view->username(pod);
-    if ((pod.flags & TorrentRecordPod::kHasPublisherIp) != 0) {
-      out.has_ip = true;
-      out.ip = pod.publisher_ip;
-    }
-    out.downloads = pod.downloaders.size();
-    return out;
-  }
-  bool banned(std::string_view name) const {
-    const UserPagePod* page = view->find_user(name);
-    return page != nullptr && (page->flags & UserPagePod::kBanned) != 0;
-  }
-};
-
-}  // namespace
 
 std::string_view to_string(TargetGroup g) {
   switch (g) {
@@ -76,22 +23,12 @@ std::string_view to_string(TargetGroup g) {
   return "?";
 }
 
-IdentityAnalysis::IdentityAnalysis(const Dataset& dataset, const GeoDb& geo,
-                                   std::size_t top_n,
-                                   FakeDetectionConfig fake_config,
-                                   std::size_t threads)
-    : geo_(&geo), top_n_(top_n) {
-  build_tables(DatasetAccess{&dataset}, threads);
-  detect_fakes(fake_config);
-  build_top(geo, top_n);
-}
-
 IdentityAnalysis::IdentityAnalysis(const CompactDatasetView& view,
                                    const GeoDb& geo, std::size_t top_n,
                                    FakeDetectionConfig fake_config,
                                    std::size_t threads)
     : geo_(&geo), top_n_(top_n) {
-  build_tables(ViewAccess{&view}, threads);
+  build_tables(view, threads);
   detect_fakes(fake_config);
   build_top(geo, top_n);
 }
@@ -112,8 +49,8 @@ struct IdentityAnalysis::MergeState {
   std::unordered_map<IpAddress, std::unordered_set<std::string>> ip_users;
 };
 
-template <typename Access>
-void IdentityAnalysis::build_tables(const Access& access, std::size_t threads) {
+void IdentityAnalysis::build_tables(const CompactDatasetView& view,
+                                    std::size_t threads) {
   // Each shard scans a contiguous torrent span with exactly the serial
   // algorithm (per-shard first-occurrence dedup), and shards merge back in
   // span order. A key's global first occurrence lies in the earliest shard
@@ -122,7 +59,7 @@ void IdentityAnalysis::build_tables(const Access& access, std::size_t threads) {
   // and deduped cross-references in exactly the serial scan's order, at any
   // thread count (including shard-count 1, which *is* the serial path).
   auto shards = sharded_scan(
-      access.size(), threads, [&access](std::size_t begin, std::size_t end) {
+      view.torrents.size(), threads, [&view](std::size_t begin, std::size_t end) {
         ShardTables shard;
         std::unordered_map<std::string_view, std::size_t> uindex;
         std::unordered_map<IpAddress, std::size_t> ipindex;
@@ -131,30 +68,35 @@ void IdentityAnalysis::build_tables(const Access& access, std::size_t threads) {
         std::unordered_map<IpAddress, std::unordered_set<std::string_view>>
             ip_users;
         for (std::size_t i = begin; i < end; ++i) {
-          const RowView row = access.row(i);
+          const TorrentRecordPod& pod = view.torrents[i];
+          // The username points into the view's text arena, stable for
+          // the scan's lifetime.
+          const std::string_view username = view.username(pod);
+          const std::size_t downloads = view.downloader_count(pod);
+          const bool has_ip = (pod.flags & TorrentRecordPod::kHasPublisherIp) != 0;
           ++shard.total_content;
-          shard.total_downloads += row.downloads;
+          shard.total_downloads += downloads;
 
-          if (!row.username.empty()) {
-            auto [it, inserted] =
-                uindex.try_emplace(row.username, shard.usernames.size());
+          if (!username.empty()) {
+            auto [it, inserted] = uindex.try_emplace(username, shard.usernames.size());
             if (inserted) {
               UsernameStats stats;
-              stats.username = std::string(row.username);
-              stats.banned = access.banned(row.username);
+              stats.username = std::string(username);
+              const UserPagePod* page = view.find_user(username);
+              stats.banned = page != nullptr && (page->flags & UserPagePod::kBanned) != 0;
               shard.usernames.push_back(std::move(stats));
             }
             UsernameStats& stats = shard.usernames[it->second];
             stats.torrents.push_back(i);
             ++stats.content_count;
-            stats.download_count += row.downloads;
-            if (row.has_ip && user_ips[row.username].insert(row.ip).second) {
-              stats.ips.emplace_back(row.ip);
+            stats.download_count += downloads;
+            if (has_ip && user_ips[username].insert(pod.publisher_ip).second) {
+              stats.ips.emplace_back(pod.publisher_ip);
             }
           }
 
-          if (row.has_ip) {
-            const IpAddress ip(row.ip);
+          if (has_ip) {
+            const IpAddress ip(pod.publisher_ip);
             auto [it, inserted] = ipindex.try_emplace(ip, shard.ips.size());
             if (inserted) {
               IpStats stats;
@@ -164,9 +106,8 @@ void IdentityAnalysis::build_tables(const Access& access, std::size_t threads) {
             IpStats& stats = shard.ips[it->second];
             stats.torrents.push_back(i);
             ++stats.content_count;
-            if (!row.username.empty() &&
-                ip_users[ip].insert(row.username).second) {
-              stats.usernames.emplace_back(row.username);
+            if (!username.empty() && ip_users[ip].insert(username).second) {
+              stats.usernames.emplace_back(username);
             }
           }
         }

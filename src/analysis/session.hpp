@@ -60,14 +60,9 @@ struct SeedingMetrics {
   std::size_t torrents_with_data = 0;
 };
 
-/// Computes the metrics for one publisher given the dataset and the
-/// indices of its torrents.
-SeedingMetrics seeding_metrics(const Dataset& dataset,
-                               std::span<const std::size_t> torrent_indices,
-                               SimDuration offline_gap = hours(4));
-
-/// Span-native overload: sightings come straight from the flat sightings
-/// array via per-torrent [begin, end) spans — no Dataset inflation.
+/// Computes the metrics for one publisher given the indices of its
+/// torrents. Sightings come straight from the view's flat sightings array
+/// via per-torrent [begin, end) spans.
 SeedingMetrics seeding_metrics(const CompactDatasetView& view,
                                std::span<const std::size_t> torrent_indices,
                                SimDuration offline_gap = hours(4));
@@ -88,13 +83,6 @@ struct SeedingBox {
 /// from `rng` before any parallel work, and each publisher's metrics are
 /// a pure function of its sightings written to its own result slot — so
 /// the panel is byte-identical to a serial run at any thread count.
-std::vector<SeedingBox> seeding_panel(const Dataset& dataset,
-                                      const IdentityAnalysis& identity,
-                                      std::size_t all_sample, Rng& rng,
-                                      SimDuration offline_gap = hours(4),
-                                      std::size_t threads = 1);
-
-/// Span-native overload of the Figure-4 panel.
 std::vector<SeedingBox> seeding_panel(const CompactDatasetView& view,
                                       const IdentityAnalysis& identity,
                                       std::size_t all_sample, Rng& rng,

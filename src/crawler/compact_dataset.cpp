@@ -24,12 +24,6 @@ std::uint64_t fnv1a(std::string_view s) noexcept {
   throw std::runtime_error(std::string("compact_dataset: corrupt view: ") + what);
 }
 
-std::string_view checked_str(const CompactDatasetView& view, StrRef ref,
-                             const char* what) {
-  if (std::uint64_t{ref.offset} + ref.length > view.text.size()) corrupt(what);
-  return view.str(ref);
-}
-
 void check_span(Span32 span, std::size_t limit, const char* what) {
   if (span.begin > span.end || span.end > limit) corrupt(what);
 }
@@ -38,8 +32,36 @@ void check_span(Span32 span, std::size_t limit, const char* what) {
 
 // ---------------------------------------------------------------- view --
 
-const UserPagePod* CompactDatasetView::find_user(std::string_view username) const
-    noexcept {
+std::string_view CompactDatasetView::str(StrRef ref) const {
+  if (std::uint64_t{ref.offset} + ref.length > text.size()) corrupt("string ref");
+  return text.substr(ref.offset, ref.length);
+}
+
+std::uint32_t CompactDatasetView::downloader_count(const TorrentRecordPod& r) const {
+  check_span(r.downloaders, peer_blob.size() / 6, "downloader span");
+  return r.downloaders.size();
+}
+
+std::span<const SimTime> CompactDatasetView::sightings_of(
+    const TorrentRecordPod& r) const {
+  check_span(r.sightings, sightings.size(), "sighting span");
+  return sightings.subspan(r.sightings.begin, r.sightings.size());
+}
+
+std::span<const StrRef> CompactDatasetView::filenames_of(
+    const TorrentRecordPod& r) const {
+  check_span(r.payload_filenames, filename_refs.size(), "filename span");
+  return filename_refs.subspan(r.payload_filenames.begin,
+                               r.payload_filenames.size());
+}
+
+std::span<const SimTime> CompactDatasetView::publish_times_of(
+    const UserPagePod& p) const {
+  check_span(p.publish_times, user_publish_times.size(), "publish-times span");
+  return user_publish_times.subspan(p.publish_times.begin, p.publish_times.size());
+}
+
+const UserPagePod* CompactDatasetView::find_user(std::string_view username) const {
   const auto it = std::partition_point(
       user_pages.begin(), user_pages.end(),
       [&](const UserPagePod& p) { return str(p.username) < username; });
@@ -67,13 +89,9 @@ std::size_t CompactDatasetView::distinct_ips_global() const {
 
 std::vector<std::uint32_t> CompactDatasetView::distinct_downloader_ips(
     std::size_t threads) const {
-  const std::size_t peer_entries = peer_blob.size() / 6;
   return gather_distinct_u32(
       torrents.size(), threads,
-      [&](std::size_t t) {
-        check_span(torrents[t].downloaders, peer_entries, "downloader span");
-        return std::size_t{torrents[t].downloaders.size()};
-      },
+      [&](std::size_t t) { return std::size_t{downloader_count(torrents[t])}; },
       [&](std::size_t t, std::uint32_t* out) {
         const TorrentRecordPod& r = torrents[t];
         for (std::uint32_t i = 0; i < r.downloaders.size(); ++i) {
@@ -279,27 +297,24 @@ Dataset inflate(const CompactDatasetView& view) {
   dataset.torrents.reserve(n);
   dataset.downloaders.reserve(n);
   dataset.publisher_sightings.reserve(n);
-  const std::size_t peer_entries = view.peer_blob.size() / 6;
   for (const TorrentRecordPod& pod : view.torrents) {
     TorrentRecord r;
     r.portal_id = pod.portal_id;
     r.infohash.bytes = pod.infohash;
-    r.title = std::string(checked_str(view, pod.title, "title ref"));
+    r.title = std::string(view.title(pod));
     r.category = static_cast<ContentCategory>(pod.category);
     r.language = static_cast<Language>(pod.language);
     r.size_bytes = pod.size_bytes;
-    r.username = std::string(checked_str(view, pod.username, "username ref"));
+    r.username = std::string(view.username(pod));
     if (pod.flags & TorrentRecordPod::kHasPublisherIp) {
       r.publisher_ip = IpAddress(pod.publisher_ip);
     }
     r.published_at = pod.published_at;
     r.first_seen = pod.first_seen;
-    r.textbox = std::string(checked_str(view, pod.textbox, "textbox ref"));
-    check_span(pod.payload_filenames, view.filename_refs.size(), "filename span");
-    r.payload_filenames.reserve(pod.payload_filenames.size());
-    for (const StrRef ref : view.filenames_of(pod)) {
-      r.payload_filenames.emplace_back(checked_str(view, ref, "filename ref"));
-    }
+    r.textbox = std::string(view.textbox(pod));
+    const auto filenames = view.filenames_of(pod);
+    r.payload_filenames.reserve(filenames.size());
+    for (const StrRef ref : filenames) r.payload_filenames.emplace_back(view.str(ref));
     r.piece_count = static_cast<std::size_t>(pod.piece_count);
     r.observed_removed = (pod.flags & TorrentRecordPod::kObservedRemoved) != 0;
     r.observed_removed_at = pod.observed_removed_at;
@@ -309,15 +324,14 @@ Dataset inflate(const CompactDatasetView& view) {
     r.max_concurrent = pod.max_concurrent;
     dataset.torrents.push_back(std::move(r));
 
-    check_span(pod.downloaders, peer_entries, "downloader span");
+    const std::uint32_t downloaders = view.downloader_count(pod);
     std::vector<IpAddress> ips;
-    ips.reserve(pod.downloaders.size());
-    for (std::uint32_t i = 0; i < pod.downloaders.size(); ++i) {
+    ips.reserve(downloaders);
+    for (std::uint32_t i = 0; i < downloaders; ++i) {
       ips.push_back(view.downloader_ip(pod, i));
     }
     dataset.downloaders.push_back(std::move(ips));
 
-    check_span(pod.sightings, view.sightings.size(), "sighting span");
     const auto sightings = view.sightings_of(pod);
     dataset.publisher_sightings.emplace_back(sightings.begin(), sightings.end());
   }
@@ -325,13 +339,9 @@ Dataset inflate(const CompactDatasetView& view) {
   dataset.user_pages.reserve(view.user_pages.size());
   for (const UserPagePod& pod : view.user_pages) {
     UserPage page;
-    page.username = std::string(checked_str(view, pod.username, "user-page name"));
+    page.username = std::string(view.str(pod.username));
     page.banned = (pod.flags & UserPagePod::kBanned) != 0;
-    check_span(pod.publish_times, view.user_publish_times.size(),
-               "publish-times span");
-    const auto times =
-        view.user_publish_times.subspan(pod.publish_times.begin,
-                                        pod.publish_times.size());
+    const auto times = view.publish_times_of(pod);
     page.publish_times.assign(times.begin(), times.end());
     dataset.user_pages.emplace(page.username, std::move(page));
   }

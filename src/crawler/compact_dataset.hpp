@@ -23,8 +23,8 @@
 // Conversion Dataset ⇄ CompactDataset is lossless, and CompactDatasetView
 // exposes the arrays as spans without owning them — the same view type
 // reads an in-memory CompactDataset or an mmap-ed snapshot
-// (dataset_mmap.hpp) byte-for-byte identically, so analysis consumers
-// (IdentityAnalysis distinct-IP counting) run with zero inflation.
+// (dataset_mmap.hpp) byte-for-byte identically. It is the one input the
+// analysis passes (src/analysis) take, so they run with zero inflation.
 #pragma once
 
 #include <array>
@@ -114,37 +114,32 @@ struct CompactDatasetView {
   std::span<const UserPagePod> user_pages;  // sorted by username
   std::span<const SimTime> user_publish_times;
 
-  std::string_view str(StrRef ref) const noexcept {
-    return text.substr(ref.offset, ref.length);
-  }
-  std::string_view title(const TorrentRecordPod& r) const noexcept { return str(r.title); }
-  std::string_view username(const TorrentRecordPod& r) const noexcept {
-    return str(r.username);
-  }
-  std::string_view textbox(const TorrentRecordPod& r) const noexcept {
-    return str(r.textbox);
-  }
+  // The row accessors below check each StrRef / Span32 against its array
+  // and throw std::runtime_error on a value that points outside it, so a
+  // hostile snapshot row is an error, never an out-of-bounds read.
+  std::string_view str(StrRef ref) const;
+  std::string_view title(const TorrentRecordPod& r) const { return str(r.title); }
+  std::string_view username(const TorrentRecordPod& r) const { return str(r.username); }
+  std::string_view textbox(const TorrentRecordPod& r) const { return str(r.textbox); }
 
+  /// A torrent's downloader entry count, after checking its span against
+  /// peer_blob.
+  std::uint32_t downloader_count(const TorrentRecordPod& r) const;
   /// Decodes downloader entry `i` of a torrent's span (BEP-23 big-endian).
+  /// Unchecked: the caller checks the span first, through
+  /// downloader_count(), and keeps `i` below that count.
   IpAddress downloader_ip(const TorrentRecordPod& r, std::uint32_t i) const noexcept {
     const auto* p = reinterpret_cast<const unsigned char*>(
         peer_blob.data() + std::size_t{6} * (r.downloaders.begin + i));
     return IpAddress((std::uint32_t{p[0]} << 24) | (std::uint32_t{p[1]} << 16) |
                      (std::uint32_t{p[2]} << 8) | std::uint32_t{p[3]});
   }
-  std::size_t downloader_count(const TorrentRecordPod& r) const noexcept {
-    return r.downloaders.size();
-  }
-  std::span<const SimTime> sightings_of(const TorrentRecordPod& r) const noexcept {
-    return sightings.subspan(r.sightings.begin, r.sightings.size());
-  }
-  std::span<const StrRef> filenames_of(const TorrentRecordPod& r) const noexcept {
-    return filename_refs.subspan(r.payload_filenames.begin,
-                                 r.payload_filenames.size());
-  }
+  std::span<const SimTime> sightings_of(const TorrentRecordPod& r) const;
+  std::span<const StrRef> filenames_of(const TorrentRecordPod& r) const;
+  std::span<const SimTime> publish_times_of(const UserPagePod& p) const;
 
   /// Binary search over the username-sorted user pages.
-  const UserPagePod* find_user(std::string_view username) const noexcept;
+  const UserPagePod* find_user(std::string_view username) const;
 
   // ---- Table-1 summary helpers, span-native (match Dataset's). ----
   std::size_t torrent_count() const noexcept { return torrents.size(); }

@@ -33,16 +33,13 @@ std::size_t Dataset::with_publisher_ip() const {
 }
 
 std::size_t Dataset::distinct_ips_global() const {
-  return distinct_downloader_ips().size();
-}
-
-std::vector<std::uint32_t> Dataset::distinct_downloader_ips(std::size_t threads) const {
   return gather_distinct_u32(
-      downloaders.size(), threads,
-      [this](std::size_t t) { return downloaders[t].size(); },
-      [this](std::size_t t, std::uint32_t* out) {
-        for (const IpAddress& ip : downloaders[t]) *out++ = ip.value();
-      });
+             downloaders.size(), 1,
+             [this](std::size_t t) { return downloaders[t].size(); },
+             [this](std::size_t t, std::uint32_t* out) {
+               for (const IpAddress& ip : downloaders[t]) *out++ = ip.value();
+             })
+      .size();
 }
 
 std::size_t Dataset::ip_observations_total() const {

@@ -82,10 +82,6 @@ struct Dataset {
   std::size_t with_publisher_ip() const;
   /// Distinct downloader IPs across all torrents.
   std::size_t distinct_ips_global() const;
-  /// The distinct downloader IPs across all torrents as ascending
-  /// IpAddress::value()s; the gather fans out over `threads` workers (0 =
-  /// hardware concurrency).
-  std::vector<std::uint32_t> distinct_downloader_ips(std::size_t threads = 1) const;
   /// Sum over torrents of per-torrent distinct downloader IPs.
   std::size_t ip_observations_total() const;
 };

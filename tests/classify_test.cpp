@@ -92,6 +92,47 @@ TEST(FindPromotion, NoneForCleanTorrent) {
   EXPECT_FALSE(find_promotion(record).has_value());
 }
 
+TEST(FindPromotion, RecordAndViewOverloadsAgree) {
+  // The textbox/title/payload inputs above, each channel alone, and rows
+  // whose channels name different domains (textbox beats title beats
+  // payload).
+  Dataset dataset;
+  auto add = [&](std::string title, std::string textbox,
+                 std::vector<std::string> payload) {
+    TorrentRecord record;
+    record.title = std::move(title);
+    record.textbox = std::move(textbox);
+    record.payload_filenames = std::move(payload);
+    dataset.torrents.push_back(std::move(record));
+    dataset.downloaders.emplace_back();
+    dataset.publisher_sightings.emplace_back();
+  };
+  add("Film.2010-divxatope.com", "Download more at http://www.divxatope.com/ !",
+      {"Film.avi", "Visit-www-divxatope-com.txt"});
+  add("Clean.Release.2010", "Great quality, please seed", {"Clean.Release.2010.avi"});
+  add("Film.2010-divxatope.com", "", {});
+  add("Plain", "now at https://zona.to forever", {});
+  add("Plain", "", {"Movie.nfo", "Visit-www-pixsor-com.txt"});
+  add("Album.FLAC-zona.to", "http://www.divxatope.com/", {"Visit-www-pixsor-com.txt"});
+  add("Album.FLAC-zona.to", "no urls here", {"Visit-www-pixsor-com.txt"});
+  const CompactDataset compact = compact_dataset(dataset);
+  const CompactDatasetView view = compact.view();
+  for (std::size_t i = 0; i < dataset.torrents.size(); ++i) {
+    const auto from_record = find_promotion(dataset.torrents[i]);
+    const auto from_view = find_promotion(view, view.torrents[i]);
+    ASSERT_EQ(from_record.has_value(), from_view.has_value()) << "row " << i;
+    if (!from_record) continue;
+    EXPECT_EQ(from_record->domain, from_view->domain) << "row " << i;
+    EXPECT_EQ(from_record->in_textbox, from_view->in_textbox) << "row " << i;
+    EXPECT_EQ(from_record->in_filename, from_view->in_filename) << "row " << i;
+    EXPECT_EQ(from_record->in_payload, from_view->in_payload) << "row " << i;
+  }
+  EXPECT_FALSE(find_promotion(view, view.torrents[1]).has_value());
+  EXPECT_EQ(find_promotion(view, view.torrents[4])->domain, "pixsor.com");
+  EXPECT_EQ(find_promotion(view, view.torrents[5])->domain, "divxatope.com");
+  EXPECT_EQ(find_promotion(view, view.torrents[6])->domain, "zona.to");
+}
+
 class ClassifyTest : public ::testing::Test {
  protected:
   ClassifyTest() {
@@ -137,8 +178,16 @@ class ClassifyTest : public ::testing::Test {
     }
   }
 
+  /// The dataset built so far in the compact form the analysis reads; the
+  /// view borrows compact_ and stays valid until the next call.
+  CompactDatasetView view() {
+    compact_ = compact_dataset(dataset_);
+    return compact_.view();
+  }
+
   GeoDb geo_;
   Dataset dataset_;
+  CompactDataset compact_;
   WebsiteDirectory websites_;
 };
 
@@ -146,10 +195,11 @@ TEST_F(ClassifyTest, ThreeWayClassification) {
   add_torrents("portaluser", 8, "megaseed.com");
   add_torrents("galleryuser", 7, "pixsor.com");
   add_torrents("goodguy", 6, "");
-  const IdentityAnalysis identity(dataset_, geo_, 3);
+  const CompactDatasetView v = view();
+  const IdentityAnalysis identity(v, geo_, 3);
   Rng rng(1);
   const auto result =
-      classify_top_publishers(dataset_, identity, websites_, 5, rng);
+      classify_top_publishers(v, identity, websites_, 5, rng);
   ASSERT_EQ(result.profiles.size(), 3u);
   std::size_t bt = 0, other = 0, altruistic = 0;
   for (const PublisherProfile& p : result.profiles) {
@@ -180,20 +230,22 @@ TEST_F(ClassifyTest, ThreeWayClassification) {
 
 TEST_F(ClassifyTest, UnknownDomainDefaultsToOtherWeb) {
   add_torrents("mystery", 5, "gone.example.com");
-  const IdentityAnalysis identity(dataset_, geo_, 1);
+  const CompactDatasetView v = view();
+  const IdentityAnalysis identity(v, geo_, 1);
   Rng rng(2);
   const auto result =
-      classify_top_publishers(dataset_, identity, websites_, 5, rng);
+      classify_top_publishers(v, identity, websites_, 5, rng);
   ASSERT_EQ(result.profiles.size(), 1u);
   EXPECT_EQ(result.profiles[0].cls, BusinessClass::OtherWeb);
 }
 
 TEST_F(ClassifyTest, SamplingStillFindsConsistentPromoter) {
   add_torrents("bigpromo", 40, "megaseed.com");
-  const IdentityAnalysis identity(dataset_, geo_, 1);
+  const CompactDatasetView v = view();
+  const IdentityAnalysis identity(v, geo_, 1);
   Rng rng(3);
   const auto result =
-      classify_top_publishers(dataset_, identity, websites_, 3, rng);
+      classify_top_publishers(v, identity, websites_, 3, rng);
   ASSERT_EQ(result.profiles.size(), 1u);
   EXPECT_EQ(result.profiles[0].cls, BusinessClass::BtPortal);
   EXPECT_EQ(result.profiles[0].content_count, 40u);
@@ -202,10 +254,11 @@ TEST_F(ClassifyTest, SamplingStillFindsConsistentPromoter) {
 TEST_F(ClassifyTest, DominantLanguageDetected) {
   add_torrents("esuser", 8, "megaseed.com", Language::Spanish);
   add_torrents("enuser", 8, "pixsor.com", Language::English);
-  const IdentityAnalysis identity(dataset_, geo_, 2);
+  const CompactDatasetView v = view();
+  const IdentityAnalysis identity(v, geo_, 2);
   Rng rng(4);
   const auto result =
-      classify_top_publishers(dataset_, identity, websites_, 5, rng);
+      classify_top_publishers(v, identity, websites_, 5, rng);
   for (const PublisherProfile& p : result.profiles) {
     if (p.username == "esuser") {
       ASSERT_TRUE(p.dominant_language.has_value());
@@ -219,10 +272,11 @@ TEST_F(ClassifyTest, DominantLanguageDetected) {
 TEST_F(ClassifyTest, SharesAgainstTotals) {
   add_torrents("portaluser", 10, "megaseed.com");
   add_torrents("goodguy", 5, "");
-  const IdentityAnalysis identity(dataset_, geo_, 2);
+  const CompactDatasetView v = view();
+  const IdentityAnalysis identity(v, geo_, 2);
   Rng rng(5);
   const auto result =
-      classify_top_publishers(dataset_, identity, websites_, 5, rng);
+      classify_top_publishers(v, identity, websites_, 5, rng);
   const auto shares = result.shares(identity.total_content(),
                                     identity.total_downloads());
   ASSERT_EQ(shares.size(), 3u);

@@ -6,12 +6,19 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/classify.hpp"
+#include "analysis/contribution.hpp"
+#include "analysis/demographics.hpp"
 #include "analysis/groups.hpp"
+#include "analysis/isp.hpp"
+#include "analysis/longitudinal.hpp"
+#include "analysis/session.hpp"
 #include "crawler/compact_dataset.hpp"
 #include "crawler/dataset_io.hpp"
 
@@ -266,8 +273,7 @@ TEST(MappedDataset, LoadOrGeneratePrefersSnapshot) {
   EXPECT_EQ(canonical_bytes(second), canonical_bytes(original));
 }
 
-/// Compares the full identity analysis built from a Dataset vs the one
-/// built span-natively from a view of the same data.
+/// Compares two identity analyses of the same data, table by table.
 void expect_same_analysis(const IdentityAnalysis& a, const IdentityAnalysis& b) {
   ASSERT_EQ(a.usernames().size(), b.usernames().size());
   for (std::size_t i = 0; i < a.usernames().size(); ++i) {
@@ -294,46 +300,51 @@ void expect_same_analysis(const IdentityAnalysis& a, const IdentityAnalysis& b) 
   EXPECT_EQ(a.total_downloads(), b.total_downloads());
 }
 
-TEST(IdentityAnalysis, ViewPathMatchesDatasetPath) {
-  const Dataset dataset = sample_dataset(DatasetStyle::Pb10);
+GeoDb sample_geo() {
   GeoDb geo;
   const IspId host = geo.add_isp("HostCo", IspType::HostingProvider, "FR");
   geo.add_block(CidrBlock(IpAddress(10, 0, 0, 0), 8), host, "Paris");
+  return geo;
+}
 
-  const IdentityAnalysis from_dataset(dataset, geo, 10);
+TEST(IdentityAnalysis, MmapViewMatchesInMemoryView) {
+  const Dataset dataset = sample_dataset(DatasetStyle::Pb10);
+  const GeoDb geo = sample_geo();
   const CompactDataset compact = compact_dataset(dataset);
   const IdentityAnalysis from_view(compact.view(), geo, 10);
-  expect_same_analysis(from_dataset, from_view);
+  ASSERT_EQ(from_view.usernames().size(), 7u);
+  EXPECT_EQ(from_view.total_content(), dataset.torrents.size());
+  EXPECT_TRUE(from_view.is_fake("user5"));  // the banned user page
 
   // And from the mmap-ed snapshot, with no inflation at all.
   const std::string path = tmp_path("identity.mmap");
   save_mmap_snapshot(dataset, path);
   const MappedDataset mapped(path);
   const IdentityAnalysis from_mmap(mapped.view(), geo, 10);
-  expect_same_analysis(from_dataset, from_mmap);
+  expect_same_analysis(from_view, from_mmap);
 }
 
 TEST(Classify, IdenticalOnReloadedDatasets) {
   const Dataset original = sample_dataset(DatasetStyle::Pb10);
-  GeoDb geo;
-  const IspId host = geo.add_isp("HostCo", IspType::HostingProvider, "FR");
-  geo.add_block(CidrBlock(IpAddress(10, 0, 0, 0), 8), host, "Paris");
+  const GeoDb geo = sample_geo();
   WebsiteDirectory websites;
 
   const std::string path = tmp_path("classify.ds");
   save_dataset(original, path);
   save_mmap_snapshot(original, mmap_sibling_path(path));
   const Dataset via_stream = load_dataset(path);
-  const Dataset via_mmap = MappedDataset(mmap_sibling_path(path)).to_dataset();
+  const MappedDataset via_mmap(mmap_sibling_path(path));
 
-  auto classify = [&](const Dataset& d) {
-    const IdentityAnalysis identity(d, geo, 10);
+  auto classify = [&](const CompactDatasetView& view) {
+    const IdentityAnalysis identity(view, geo, 10);
     Rng rng(1234);
-    return classify_top_publishers(d, identity, websites, 3, rng);
+    return classify_top_publishers(view, identity, websites, 3, rng);
   };
-  const ClassificationResult a = classify(original);
-  const ClassificationResult b = classify(via_stream);
-  const ClassificationResult c = classify(via_mmap);
+  const CompactDataset original_compact = compact_dataset(original);
+  const CompactDataset stream_compact = compact_dataset(via_stream);
+  const ClassificationResult a = classify(original_compact.view());
+  const ClassificationResult b = classify(stream_compact.view());
+  const ClassificationResult c = classify(via_mmap.view());
 
   auto expect_same = [](const ClassificationResult& x,
                         const ClassificationResult& y) {
@@ -348,6 +359,118 @@ TEST(Classify, IdenticalOnReloadedDatasets) {
   };
   expect_same(a, b);
   expect_same(a, c);
+}
+
+TEST(CompactDatasetView, CorruptRowThrowsFromEveryPassThatReadsIt) {
+  const Dataset dataset = sample_dataset(DatasetStyle::Pb10);
+  const GeoDb geo = sample_geo();
+  WebsiteDirectory websites;
+  const CompactDataset clean = compact_dataset(dataset);
+  // Tables from the clean rows, for the passes that take them as input.
+  const IdentityAnalysis identity(clean.view(), geo, 10);
+  Rng clean_rng(1);
+  const ClassificationResult classification =
+      classify_top_publishers(clean.view(), identity, websites, 0, clean_rng);
+  ASSERT_EQ(identity.top().size(), 6u);  // every user but the banned user5
+  std::vector<std::size_t> all_rows(dataset.torrents.size());
+  for (std::size_t i = 0; i < all_rows.size(); ++i) all_rows[i] = i;
+
+  // Every pass that reads one row field; unsampled, so each reads every
+  // row (row 0 and user page 1 belong to top publishers).
+  using Pass = std::function<void(const CompactDatasetView&, std::size_t)>;
+  const std::map<std::string, Pass> passes = {
+      {"identity",
+       [&](const CompactDatasetView& v, std::size_t threads) {
+         IdentityAnalysis(v, geo, 10, {}, threads);
+       }},
+      {"classify",
+       [&](const CompactDatasetView& v, std::size_t threads) {
+         Rng rng(1);
+         classify_top_publishers(v, identity, websites, 0, rng, threads);
+       }},
+      {"seeding_panel",
+       [&](const CompactDatasetView& v, std::size_t threads) {
+         Rng rng(1);
+         seeding_panel(v, identity, 0, rng, hours(4), threads);
+       }},
+      {"seeding_metrics",
+       [&](const CompactDatasetView& v, std::size_t) {
+         seeding_metrics(v, all_rows);
+       }},
+      {"demographics",
+       [&](const CompactDatasetView& v, std::size_t threads) {
+         downloader_demographics(v, geo, 10, threads);
+       }},
+      {"consumption",
+       [&](const CompactDatasetView& v, std::size_t threads) {
+         top_publisher_consumption(v, identity, 10, threads);
+       }},
+      {"consumers_from_isp",
+       [&](const CompactDatasetView& v, std::size_t) {
+         consumers_from_isp(v, geo, "HostCo");
+       }},
+      {"longitudinal",
+       [&](const CompactDatasetView& v, std::size_t) {
+         longitudinal_table(v, classification);
+       }},
+  };
+  for (const auto& [name, pass] : passes) {
+    EXPECT_NO_THROW(pass(clean.view(), 4)) << name;
+  }
+
+  const auto past_text = static_cast<std::uint32_t>(clean.text.size());
+  struct Corruption {
+    std::string field;
+    std::function<void(CompactDataset&)> apply;
+    std::vector<std::string> readers;
+  };
+  const std::vector<Corruption> corruptions = {
+      {"title ref",
+       [&](CompactDataset& c) { c.torrents[0].title.offset = past_text; },
+       {"classify"}},
+      {"username ref",
+       [&](CompactDataset& c) { c.torrents[0].username.length = past_text; },
+       {"identity"}},
+      {"textbox ref",
+       [&](CompactDataset& c) { c.torrents[0].textbox.offset = 0xFFFFFFFFu; },
+       {"classify"}},
+      {"user-page username ref",
+       [&](CompactDataset& c) { c.user_pages[1].username.offset = past_text; },
+       {"identity", "longitudinal"}},
+      {"sightings span",
+       [&](CompactDataset& c) {
+         c.torrents[0].sightings.end = static_cast<std::uint32_t>(c.sightings.size() + 1);
+       },
+       {"seeding_panel", "seeding_metrics"}},
+      {"language byte",
+       [&](CompactDataset& c) { c.torrents[0].language = 6; },
+       {"classify"}},
+      {"filenames span",
+       [&](CompactDataset& c) { c.torrents[0].payload_filenames = Span32{2, 1}; },
+       {"classify"}},
+      {"publish-times span",
+       [&](CompactDataset& c) {
+         c.user_pages[1].publish_times.end =
+             static_cast<std::uint32_t>(c.user_publish_times.size() + 1);
+       },
+       {"longitudinal"}},
+      {"downloader span",
+       [&](CompactDataset& c) {
+         c.torrents[0].downloaders.end =
+             static_cast<std::uint32_t>(c.peer_blob.size() / 6 + 1);
+       },
+       {"identity", "demographics", "consumption", "consumers_from_isp"}},
+  };
+  for (const Corruption& corruption : corruptions) {
+    CompactDataset hostile = clean;
+    corruption.apply(hostile);
+    for (const std::string& reader : corruption.readers) {
+      for (const std::size_t threads : {1u, 4u}) {
+        EXPECT_THROW(passes.at(reader)(hostile.view(), threads), std::runtime_error)
+            << corruption.field << " via " << reader << " @" << threads;
+      }
+    }
+  }
 }
 
 }  // namespace

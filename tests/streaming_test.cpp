@@ -207,14 +207,17 @@ TEST_F(StreamingClassifierTest, ModeratedMidCrawlIsProvisionalUntilBanConfirms) 
   stream.on_removal(0, hours(5));
 
   // Mid-crawl round: the removal stands in for the ban -> provisional fake.
-  const PublisherVerdict* rolling = find_verdict(stream.round(hours(6)), "victim");
+  // Each snapshot is kept in a named local: the verdict pointers point
+  // into it.
+  const StreamingSnapshot mid = stream.round(hours(6));
+  const PublisherVerdict* rolling = find_verdict(mid, "victim");
   ASSERT_NE(rolling, nullptr);
   EXPECT_TRUE(rolling->fake);
   EXPECT_TRUE(rolling->provisional_fake);
 
   // Finalize without a user-page ban: the batch rule sees no banned account.
-  const PublisherVerdict* final_unbanned =
-      find_verdict(stream.finalize(hours(6)), "victim");
+  const StreamingSnapshot unbanned = stream.finalize(hours(6));
+  const PublisherVerdict* final_unbanned = find_verdict(unbanned, "victim");
   ASSERT_NE(final_unbanned, nullptr);
   EXPECT_FALSE(final_unbanned->fake);
 
@@ -223,8 +226,8 @@ TEST_F(StreamingClassifierTest, ModeratedMidCrawlIsProvisionalUntilBanConfirms) 
   page.username = "victim";
   page.banned = true;
   stream.on_user_page("victim", page);
-  const PublisherVerdict* final_banned =
-      find_verdict(stream.finalize(hours(6)), "victim");
+  const StreamingSnapshot banned = stream.finalize(hours(6));
+  const PublisherVerdict* final_banned = find_verdict(banned, "victim");
   ASSERT_NE(final_banned, nullptr);
   EXPECT_TRUE(final_banned->fake);
   EXPECT_FALSE(final_banned->provisional_fake);
@@ -359,7 +362,9 @@ StreamingConfig convergence_stream_config() {
 /// the dataset of the very crawl the classifier observed.
 void expect_matches_batch(const StreamingSnapshot& snap, const Dataset& dataset,
                           const GeoDb& geo, const WebsiteDirectory& websites) {
-  const IdentityAnalysis identity(dataset, geo, kTopN);
+  const CompactDataset compact = compact_dataset(dataset);
+  const CompactDatasetView view = compact.view();
+  const IdentityAnalysis identity(view, geo, kTopN);
 
   // Fake set, exactly.
   const auto fakes = snap.fakes();
@@ -373,7 +378,7 @@ void expect_matches_batch(const StreamingSnapshot& snap, const Dataset& dataset,
   // Per-publisher verdicts against batch stats and profiles.
   Rng rng(1);  // unused: sample_per_publisher = 0 disables sampling
   const auto batch =
-      classify_top_publishers(dataset, identity, websites, 0, rng);
+      classify_top_publishers(view, identity, websites, 0, rng);
   std::unordered_map<std::string, const PublisherProfile*> profiles;
   for (const PublisherProfile& p : batch.profiles) profiles[p.username] = &p;
 
@@ -399,7 +404,7 @@ void expect_matches_batch(const StreamingSnapshot& snap, const Dataset& dataset,
 
     // Appendix-A session metrics: the online estimator is exact, so the
     // doubles match bit for bit (same integer totals, same fold order).
-    const SeedingMetrics m = seeding_metrics(dataset, stats->torrents);
+    const SeedingMetrics m = seeding_metrics(view, stats->torrents);
     EXPECT_DOUBLE_EQ(v.seeding_hours, m.avg_seeding_hours) << v.username;
     EXPECT_DOUBLE_EQ(v.aggregated_hours, m.aggregated_session_hours)
         << v.username;

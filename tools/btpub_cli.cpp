@@ -197,17 +197,21 @@ int cmd_analyze(const Options& options) {
     std::fprintf(stderr, "analyze: dataset file required\n");
     return 1;
   }
-  const Dataset dataset = load_dataset(options.positional[0]);
+  // The analysis reads the compact form; the loaded Dataset is freed as
+  // soon as it is compacted.
+  const CompactDataset compact = compact_dataset(load_dataset(options.positional[0]));
+  const CompactDatasetView view = compact.view();
   const IspCatalog catalog = IspCatalog::standard();
-  const IdentityAnalysis identity(dataset, catalog.db(), options.top_n);
+  const IdentityAnalysis identity(view, catalog.db(), options.top_n);
 
-  AsciiTable summary("Dataset " + dataset.name);
+  std::string title = "Dataset ";
+  title += view.name;
+  AsciiTable summary(std::move(title));
   summary.header({"metric", "value"});
-  summary.row({"torrents", std::to_string(dataset.torrent_count())});
-  summary.row({"with username", std::to_string(dataset.with_username())});
-  summary.row({"with publisher IP", std::to_string(dataset.with_publisher_ip())});
-  summary.row({"distinct downloader IPs",
-               std::to_string(dataset.distinct_ips_global())});
+  summary.row({"torrents", std::to_string(view.torrent_count())});
+  summary.row({"with username", std::to_string(view.with_username())});
+  summary.row({"with publisher IP", std::to_string(view.with_publisher_ip())});
+  summary.row({"distinct downloader IPs", std::to_string(view.distinct_ips_global())});
   summary.row({"publishers (usernames)",
                std::to_string(identity.usernames().size())});
   summary.row({"fake usernames", std::to_string(identity.fake_usernames().size())});
