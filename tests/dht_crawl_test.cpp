@@ -8,6 +8,7 @@
 #include "core/ecosystem.hpp"
 #include "crawler/cross_check.hpp"
 #include "crawler/dataset_io.hpp"
+#include "crypto/sha1.hpp"
 #include "publisher/profile.hpp"
 
 namespace btpub {
@@ -47,6 +48,11 @@ TEST(DhtCrawlTest, RepeatedCrawlsAreByteIdentical) {
   std::ostringstream bytes_rebuilt;
   save_dataset(rebuilt.dht_crawl(), bytes_rebuilt);
   EXPECT_EQ(bytes_first.str(), bytes_rebuilt.str());
+
+  // ...and equal the bytes recorded from an earlier build, so a change to
+  // the DHT message path that alters the crawl fails even when it repeats.
+  EXPECT_EQ(Sha1::hash(bytes_first.str()).hex(),
+            "807b4fffa7f50fb567c2724350cbacfe65133d22");
 }
 
 TEST(DhtCrawlTest, DhtCrawlDoesNotPerturbTrackerCrawl) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "crypto/sha1.hpp"
 #include "dht/overlay.hpp"
 
 namespace btpub::dht {
@@ -153,6 +154,56 @@ TEST(DhtOverlayTest, IdenticallySeededOverlaysAnswerIdentically) {
     EXPECT_EQ(sa.messages, sb.messages) << t;
   }
   EXPECT_EQ(a.datagrams(), b.datagrams());
+}
+
+TEST(DhtOverlayTest, FixedSeedRunMatchesRecordedTotals) {
+  // Pinned against values recorded from an earlier build: a change to the
+  // message path must leave every hop, datagram and returned peer as it
+  // was, not merely repeat itself run to run.
+  DhtOverlay overlay(1234);
+  SimTime now = 0;
+  for (std::uint32_t i = 0; i < 1000; ++i) overlay.add_node(peer_at(i), ++now);
+
+  std::uint64_t hops = 0, messages = 0, timeouts = 0, peers_found = 0;
+  const auto tally = [&](const LookupStats& stats) {
+    hops += stats.hops;
+    messages += stats.messages;
+    timeouts += stats.timeouts;
+    peers_found += stats.peers_found;
+  };
+  for (std::uint32_t t = 0; t < 40; ++t) {
+    const Sha1Digest infohash = Sha1::hash("pinned" + std::to_string(t));
+    for (std::uint32_t p = 0; p < 5; ++p) {
+      LookupStats stats;
+      overlay.announce_peer(infohash, peer_at((t * 37 + p * 101) % 1000),
+                            ++now, &stats);
+      tally(stats);
+    }
+  }
+  // A tenth of the overlay departs, so later walks meet timeouts.
+  for (std::uint32_t i = 900; i < 1000; ++i) overlay.remove_node(peer_at(i));
+
+  const Endpoint vantage{IpAddress(10, 88, 0, 1), 6881};
+  const Endpoint hints[] = {peer_at(17), peer_at(950)};
+  Sha1 peer_lists;
+  for (std::uint32_t t = 0; t < 60; ++t) {
+    const Sha1Digest infohash = Sha1::hash("pinned" + std::to_string(t % 45));
+    LookupStats stats;
+    const std::span<const Endpoint> bootstrap =
+        t % 3 == 0 ? std::span<const Endpoint>(hints) : std::span<const Endpoint>();
+    const auto found =
+        overlay.get_peers(infohash, vantage, ++now, &stats, bootstrap, true);
+    tally(stats);
+    peer_lists.update(std::to_string(found.size()) + ":");
+    for (const Endpoint& peer : found) peer_lists.update(peer.to_string() + ";");
+  }
+
+  EXPECT_EQ(hops, 1367u);
+  EXPECT_EQ(messages, 4875u);
+  EXPECT_EQ(timeouts, 329u);
+  EXPECT_EQ(peers_found, 530u);
+  EXPECT_EQ(overlay.datagrams(), 15836u);
+  EXPECT_EQ(peer_lists.finish().hex(), "fd552ce073befa3ffd4faf43d1716ee039812dc4");
 }
 
 TEST(DhtOverlayTest, RouterNeverDeparts) {
