@@ -12,6 +12,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "crypto/sha1.hpp"
@@ -105,7 +106,8 @@ void write_json(const std::string& path, const Options& opt,
   }
   out << "{\n  \"benchmark\": \"dht_iterative_get_peers\",\n";
   out << "  \"config\": {\"lookups\": " << opt.lookups
-      << ", \"torrents\": 64, \"peers_per_torrent\": 20}," << "\n";
+      << ", \"torrents\": 64, \"peers_per_torrent\": 20, \"cores\": "
+      << std::thread::hardware_concurrency() << "},\n";
   out << "  \"results\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const Result& r = results[i];

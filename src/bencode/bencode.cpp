@@ -83,9 +83,13 @@ namespace {
 /// Appends the decimal digits of `v` without going through std::to_string
 /// (keeps the writer allocation-free regardless of SSO limits).
 void append_decimal(std::int64_t v, std::string& out) {
+  if (v >= 0 && v < 10) {  // most key and string-length headers
+    out += static_cast<char>('0' + v);
+    return;
+  }
   char buf[24];
   const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, res.ptr);
+  out.append(buf, static_cast<std::size_t>(res.ptr - buf));
 }
 
 }  // namespace
@@ -156,18 +160,30 @@ class Parser {
 
   std::size_t pos() const noexcept { return pos_; }
 
-  std::optional<std::string_view> find_raw(std::string_view key) {
-    if (peek() != 'd') throw Error("bencode: value is not a dict");
-    std::optional<std::string_view> found;
-    walk_dict(0, [&](std::string_view k, int child_depth) {
+  /// Walks the dict or list that is all of the input, calling
+  /// on_child(key, raw) per entry (key is empty for list items), then
+  /// rejects trailing bytes.
+  template <typename OnChild>
+  void walk_whole(char open, OnChild&& on_child) {
+    if (peek() != open) {
+      throw Error(open == 'd' ? "bencode: value is not a dict"
+                              : "bencode: value is not a list");
+    }
+    const auto raw_child = [&](std::string_view key, int child_depth) {
       const std::size_t start = pos_;
       skip_value(child_depth);
-      if (k == key) found = data_.substr(start, pos_ - start);
-    });
+      on_child(key, data_.substr(start, pos_ - start));
+    };
+    if (open == 'd') {
+      walk_dict(0, raw_child);
+    } else {
+      take();  // 'l'
+      while (peek() != 'e') raw_child({}, 1);
+      take();  // 'e'
+    }
     if (pos_ != data_.size()) {
       throw Error("bencode: trailing bytes after value");
     }
-    return found;
   }
 
  private:
@@ -185,23 +201,31 @@ class Parser {
   }
 
   std::int64_t parse_raw_integer(char terminator) {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < data_.size() && data_[pos_] >= '0' && data_[pos_] <= '9') ++pos_;
-    if (pos_ == start || (data_[start] == '-' && pos_ == start + 1)) {
-      throw Error("bencode: malformed integer");
+    const bool negative = peek() == '-';
+    if (negative) ++pos_;
+    const std::size_t first = pos_;
+    // Accumulated while scanning; exact whenever it is used (<= 18 digits).
+    std::uint64_t magnitude = 0;
+    while (pos_ < data_.size() && data_[pos_] >= '0' && data_[pos_] <= '9') {
+      magnitude = magnitude * 10 + static_cast<std::uint64_t>(data_[pos_] - '0');
+      ++pos_;
     }
+    const std::size_t n = pos_ - first;
+    if (n == 0) throw Error("bencode: malformed integer");
     // i-0e and leading zeroes are invalid per BEP 3.
-    const std::string_view digits = data_.substr(start, pos_ - start);
-    if (digits == "-0" ||
-        (digits.size() > 1 && digits[0] == '0') ||
-        (digits.size() > 2 && digits[0] == '-' && digits[1] == '0')) {
+    if (data_[first] == '0' && (n > 1 || negative)) {
       throw Error("bencode: non-canonical integer");
     }
     std::int64_t value = 0;
-    const auto result =
-        std::from_chars(digits.data(), digits.data() + digits.size(), value);
-    if (result.ec != std::errc{}) throw Error("bencode: integer out of range");
+    if (n <= 18) {
+      value = negative ? -static_cast<std::int64_t>(magnitude)
+                       : static_cast<std::int64_t>(magnitude);
+    } else {
+      const std::size_t start = first - (negative ? 1 : 0);
+      const auto result =
+          std::from_chars(data_.data() + start, data_.data() + pos_, value);
+      if (result.ec != std::errc{}) throw Error("bencode: integer out of range");
+    }
     if (take() != terminator) throw Error("bencode: bad integer terminator");
     return value;
   }
@@ -306,9 +330,30 @@ Value decode_prefix(std::string_view data, std::size_t& pos) {
   return v;
 }
 
+namespace detail {
+
+void walk_dict(std::string_view dict, EntryFn on_entry, void* ctx) {
+  Parser(dict, 0).walk_whole('d', [&](std::string_view key,
+                                      std::string_view raw) {
+    on_entry(ctx, key, raw);
+  });
+}
+
+void walk_list(std::string_view list, ItemFn on_item, void* ctx) {
+  Parser(list, 0).walk_whole('l', [&](std::string_view, std::string_view raw) {
+    on_item(ctx, raw);
+  });
+}
+
+}  // namespace detail
+
 std::optional<std::string_view> find_raw(std::string_view dict,
                                          std::string_view key) {
-  return Parser(dict, 0).find_raw(key);
+  std::optional<std::string_view> found;
+  walk_dict(dict, [&](std::string_view k, std::string_view raw) {
+    if (k == key) found = raw;
+  });
+  return found;
 }
 
 }  // namespace btpub::bencode

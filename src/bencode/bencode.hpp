@@ -6,6 +6,7 @@
 // same parsing path a real measurement apparatus would.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -13,6 +14,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace btpub::bencode {
@@ -121,13 +123,64 @@ Value decode(std::string_view data);
 /// streaming several concatenated values.
 Value decode_prefix(std::string_view data, std::size_t& pos);
 
+namespace detail {
+using EntryFn = void (*)(void* ctx, std::string_view key, std::string_view raw);
+using ItemFn = void (*)(void* ctx, std::string_view raw);
+void walk_dict(std::string_view dict, EntryFn on_entry, void* ctx);
+void walk_list(std::string_view list, ItemFn on_item, void* ctx);
+}  // namespace detail
+
+/// Walks the dictionary that is all of `dict`, calling
+/// on_entry(key, raw) for each entry in key order, where `raw` is the
+/// encoded bytes of the value. `dict` is validated exactly as decode()
+/// validates it (throws Error on malformed input, a non-dict or trailing
+/// bytes), but no Value tree is built and no payload is copied. Because
+/// decode() accepts only canonical bencoding, `raw` equals encode() of the
+/// decoded value. on_entry may already have run for earlier entries when
+/// a later byte throws, so a caller treats a throw as rejecting the whole
+/// input.
+template <typename OnEntry>
+void walk_dict(std::string_view dict, OnEntry&& on_entry) {
+  using F = std::remove_reference_t<OnEntry>;
+  detail::walk_dict(
+      dict,
+      [](void* ctx, std::string_view key, std::string_view raw) {
+        (*static_cast<F*>(ctx))(key, raw);
+      },
+      const_cast<void*>(static_cast<const void*>(&on_entry)));
+}
+
+/// The list counterpart of walk_dict: on_item(raw) per element, in order,
+/// with the same validation.
+template <typename OnItem>
+void walk_list(std::string_view list, OnItem&& on_item) {
+  using F = std::remove_reference_t<OnItem>;
+  detail::walk_list(
+      list,
+      [](void* ctx, std::string_view raw) { (*static_cast<F*>(ctx))(raw); },
+      const_cast<void*>(static_cast<const void*>(&on_item)));
+}
+
 /// Returns the encoded bytes of the value stored under `key` in the
-/// dictionary that is all of `dict`, or nullopt when the key is absent.
-/// `dict` is validated exactly as decode() validates it (throws Error on
-/// malformed input or trailing bytes), but no Value tree is built and no
-/// string payload is copied. Because decode() accepts only canonical
-/// bencoding, the returned bytes equal encode() of the decoded value.
+/// dictionary that is all of `dict`, or nullopt when the key is absent;
+/// validates and throws as walk_dict does.
 std::optional<std::string_view> find_raw(std::string_view dict,
                                          std::string_view key);
+
+/// The payload of a string value given its raw bytes as walk_dict or
+/// walk_list yields them; nullopt when the value is not a string.
+inline std::optional<std::string_view> raw_string(std::string_view raw) noexcept {
+  if (raw.empty() || raw[0] < '0' || raw[0] > '9') return std::nullopt;
+  return raw.substr(raw.find(':') + 1);
+}
+
+/// The value of an integer given its validated raw bytes; nullopt when the
+/// value is not an integer.
+inline std::optional<std::int64_t> raw_integer(std::string_view raw) noexcept {
+  if (raw.size() < 3 || raw[0] != 'i') return std::nullopt;
+  std::int64_t value = 0;
+  std::from_chars(raw.data() + 1, raw.data() + raw.size() - 1, value);
+  return value;
+}
 
 }  // namespace btpub::bencode

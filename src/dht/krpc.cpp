@@ -21,13 +21,65 @@ std::string_view bytes_view(const std::array<std::uint8_t, 20>& bytes) {
   return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
 }
 
-/// Reads a 20-byte string value into an id/digest array; false on any
-/// type or length mismatch.
-bool read_id(const bencode::Value* value, std::array<std::uint8_t, 20>& out) {
-  if (value == nullptr || !value->is_string()) return false;
-  const std::string& s = value->as_string();
-  if (s.size() != out.size()) return false;
-  std::memcpy(out.data(), s.data(), out.size());
+/// Appends the nodes of a compact node blob whose size is a multiple of 26.
+void append_compact_nodes(std::string_view blob, std::vector<NodeInfo>& out) {
+  for (std::size_t at = 0; at < blob.size(); at += 26) {
+    NodeInfo node;
+    std::memcpy(node.id.bytes.data(), blob.data() + at, 20);
+    node.endpoint = *parse_compact_peer(blob.substr(at + 20, 6));
+    out.push_back(node);
+  }
+}
+
+/// Reads a 20-byte string value (raw bencode bytes, empty when absent)
+/// into an id/digest array; false on absence or any type or length
+/// mismatch.
+bool read_id(std::string_view raw, std::array<std::uint8_t, 20>& out) {
+  const auto s = bencode::raw_string(raw);
+  if (!s || s->size() != out.size()) return false;
+  std::memcpy(out.data(), s->data(), out.size());
+  return true;
+}
+
+/// The raw bytes of a KRPC datagram's top-level fields; an absent field
+/// is empty (no encoded value is).
+struct Envelope {
+  std::string_view body;  // "a", "r" or "e", whichever `kind` selects
+  std::string_view q;
+  std::string_view ro;
+  std::string_view t;
+  std::string_view y;
+};
+
+/// One validating walk of the top-level dict, keeping the fields a
+/// message of kind `kind` ('q', 'r' or 'e') reads. False when the datagram
+/// is not a single well-formed bencoded dict.
+bool read_envelope(std::string_view datagram, char kind, Envelope& env) {
+  const char body_name = kind == 'q' ? 'a' : kind;
+  try {
+    bencode::walk_dict(datagram, [&](std::string_view key, std::string_view raw) {
+      if (key.size() == 1) {
+        if (key[0] == body_name) env.body = raw;
+        else if (key[0] == 'q') env.q = raw;
+        else if (key[0] == 't') env.t = raw;
+        else if (key[0] == 'y') env.y = raw;
+      } else if (key == "ro") {
+        env.ro = raw;
+      }
+    });
+  } catch (const bencode::Error&) {
+    return false;
+  }
+  return true;
+}
+
+/// The "y" kind and "t" transaction id checks every message type shares.
+bool read_header(const Envelope& env, char kind, std::string& transaction_id) {
+  const auto y = bencode::raw_string(env.y);
+  if (!y || y->size() != 1 || (*y)[0] != kind) return false;
+  const auto t = bencode::raw_string(env.t);
+  if (!t) return false;
+  transaction_id.assign(*t);
   return true;
 }
 
@@ -54,13 +106,7 @@ std::vector<NodeInfo> parse_compact_nodes(std::string_view blob) {
   std::vector<NodeInfo> nodes;
   if (blob.size() % 26 != 0) return nodes;
   nodes.reserve(blob.size() / 26);
-  for (std::size_t at = 0; at < blob.size(); at += 26) {
-    NodeInfo node;
-    std::memcpy(node.id.bytes.data(), blob.data() + at, 20);
-    const auto endpoint = parse_compact_peer(blob.substr(at + 20, 6));
-    node.endpoint = *endpoint;  // always present: the slice is 6 bytes
-    nodes.push_back(node);
-  }
+  append_compact_nodes(blob, nodes);
   return nodes;
 }
 
@@ -129,21 +175,17 @@ void Query::encode_into(std::string& out) const {
 }
 
 std::optional<Query> Query::decode(std::string_view datagram) {
-  bencode::Value root;
-  try {
-    root = bencode::decode(datagram);
-  } catch (const bencode::Error&) {
-    return std::nullopt;
-  }
-  if (!root.is_dict()) return std::nullopt;
-  const auto y = root.find_string("y");
-  if (!y || *y != "q") return std::nullopt;
-  const auto t = root.find_string("t");
-  const auto q = root.find_string("q");
-  if (!t || !q) return std::nullopt;
-
   Query query;
-  query.transaction_id = *t;
+  if (!decode_into(datagram, query)) return std::nullopt;
+  return query;
+}
+
+bool Query::decode_into(std::string_view datagram, Query& query) {
+  Envelope env;
+  if (!read_envelope(datagram, 'q', env)) return false;
+  if (!read_header(env, 'q', query.transaction_id)) return false;
+  const auto q = bencode::raw_string(env.q);
+  if (!q) return false;
   if (*q == "ping") {
     query.method = Method::Ping;
   } else if (*q == "find_node") {
@@ -153,38 +195,48 @@ std::optional<Query> Query::decode(std::string_view datagram) {
   } else if (*q == "announce_peer") {
     query.method = Method::AnnouncePeer;
   } else {
-    return std::nullopt;
+    return false;
   }
-  if (const auto ro = root.find_integer("ro")) query.read_only = *ro != 0;
+  const auto ro = bencode::raw_integer(env.ro);
+  query.read_only = ro && *ro != 0;
+  if (env.body.empty() || env.body[0] != 'd') return false;
 
-  const bencode::Value* args = root.find("a");
-  if (args == nullptr || !args->is_dict()) return std::nullopt;
-  if (!read_id(args->find("id"), query.sender_id.bytes)) return std::nullopt;
+  // The arguments dict was validated by the walk above; this second walk
+  // only picks out its fields.
+  std::string_view id, info_hash, port, target, token;
+  bencode::walk_dict(env.body, [&](std::string_view key, std::string_view raw) {
+    if (key == "id") id = raw;
+    else if (key == "info_hash") info_hash = raw;
+    else if (key == "port") port = raw;
+    else if (key == "target") target = raw;
+    else if (key == "token") token = raw;
+  });
+  query.target = NodeId{};
+  query.info_hash = Sha1Digest{};
+  query.port = 0;
+  query.token.clear();
+  if (!read_id(id, query.sender_id.bytes)) return false;
   switch (query.method) {
     case Method::Ping:
       break;
     case Method::FindNode:
-      if (!read_id(args->find("target"), query.target.bytes)) return std::nullopt;
+      if (!read_id(target, query.target.bytes)) return false;
       break;
     case Method::GetPeers:
-      if (!read_id(args->find("info_hash"), query.info_hash.bytes)) {
-        return std::nullopt;
-      }
+      if (!read_id(info_hash, query.info_hash.bytes)) return false;
       break;
     case Method::AnnouncePeer: {
-      if (!read_id(args->find("info_hash"), query.info_hash.bytes)) {
-        return std::nullopt;
-      }
-      const auto port = args->find_integer("port");
-      if (!port || *port < 0 || *port > 0xffff) return std::nullopt;
-      query.port = static_cast<std::uint16_t>(*port);
-      const auto token = args->find_string("token");
-      if (!token) return std::nullopt;
-      query.token = *token;
+      if (!read_id(info_hash, query.info_hash.bytes)) return false;
+      const auto port_value = bencode::raw_integer(port);
+      if (!port_value || *port_value < 0 || *port_value > 0xffff) return false;
+      query.port = static_cast<std::uint16_t>(*port_value);
+      const auto token_value = bencode::raw_string(token);
+      if (!token_value) return false;
+      query.token.assign(*token_value);
       break;
     }
   }
-  return query;
+  return true;
 }
 
 // ---- response -------------------------------------------------------------
@@ -232,44 +284,56 @@ void Response::encode_into(std::string& out) const {
 }
 
 std::optional<Response> Response::decode(std::string_view datagram) {
-  bencode::Value root;
-  try {
-    root = bencode::decode(datagram);
-  } catch (const bencode::Error&) {
-    return std::nullopt;
-  }
-  if (!root.is_dict()) return std::nullopt;
-  const auto y = root.find_string("y");
-  if (!y || *y != "r") return std::nullopt;
-  const auto t = root.find_string("t");
-  if (!t) return std::nullopt;
-  const bencode::Value* body = root.find("r");
-  if (body == nullptr || !body->is_dict()) return std::nullopt;
-
   Response response;
-  response.transaction_id = *t;
-  if (!read_id(body->find("id"), response.sender_id.bytes)) return std::nullopt;
-  if (const auto nodes = body->find_string("nodes")) {
-    if (nodes->size() % 26 != 0) return std::nullopt;
-    response.nodes = parse_compact_nodes(*nodes);
+  if (!decode_into(datagram, response)) return std::nullopt;
+  return response;
+}
+
+bool Response::decode_into(std::string_view datagram, Response& response) {
+  Envelope env;
+  if (!read_envelope(datagram, 'r', env)) return false;
+  if (!read_header(env, 'r', response.transaction_id)) return false;
+  if (env.body.empty() || env.body[0] != 'd') return false;
+
+  std::string_view id, nodes, token, values;
+  bencode::walk_dict(env.body, [&](std::string_view key, std::string_view raw) {
+    if (key == "id") id = raw;
+    else if (key == "nodes") nodes = raw;
+    else if (key == "token") token = raw;
+    else if (key == "values") values = raw;
+  });
+  if (!read_id(id, response.sender_id.bytes)) return false;
+  response.nodes.clear();
+  response.peers.clear();
+  response.token.clear();
+  // A "nodes" or "token" of the wrong type is ignored, as an absent one.
+  if (const auto blob = bencode::raw_string(nodes)) {
+    if (blob->size() % 26 != 0) return false;
+    append_compact_nodes(*blob, response.nodes);
   }
-  if (const auto token = body->find_string("token")) response.token = *token;
-  if (const bencode::Value* values = body->find("values")) {
-    if (!values->is_list()) return std::nullopt;
-    for (const bencode::Value& entry : values->as_list()) {
-      if (!entry.is_string()) return std::nullopt;
-      const auto peer = parse_compact_peer(entry.as_string());
-      if (!peer) return std::nullopt;
-      response.peers.push_back(*peer);
+  if (const auto value = bencode::raw_string(token)) response.token.assign(*value);
+  if (!values.empty()) {
+    if (values[0] != 'l') return false;
+    // The list is validated canonical bencode, so an entry is a 6-byte
+    // string exactly when it starts with "6:"; anything else rejects.
+    for (std::size_t at = 1; values[at] != 'e'; at += 8) {
+      if (values.compare(at, 2, "6:") != 0) return false;
+      response.peers.push_back(*parse_compact_peer(values.substr(at + 2, 6)));
     }
   }
-  return response;
+  return true;
 }
 
 // ---- error ----------------------------------------------------------------
 
 std::string ErrorMessage::encode() const {
   std::string out;
+  encode_into(out);
+  return out;
+}
+
+void ErrorMessage::encode_into(std::string& out) const {
+  out.clear();
   bencode::Writer w(out);
   w.begin_dict();
   w.key("e");
@@ -282,46 +346,37 @@ std::string ErrorMessage::encode() const {
   w.key("y");
   w.string("e");
   w.end();
-  return out;
 }
 
 std::optional<ErrorMessage> ErrorMessage::decode(std::string_view datagram) {
-  bencode::Value root;
-  try {
-    root = bencode::decode(datagram);
-  } catch (const bencode::Error&) {
-    return std::nullopt;
-  }
-  if (!root.is_dict()) return std::nullopt;
-  const auto y = root.find_string("y");
-  if (!y || *y != "e") return std::nullopt;
-  const auto t = root.find_string("t");
-  if (!t) return std::nullopt;
-  const bencode::Value* e = root.find("e");
-  if (e == nullptr || !e->is_list()) return std::nullopt;
-  const bencode::List& list = e->as_list();
-  if (list.size() != 2 || !list[0].is_integer() || !list[1].is_string()) {
-    return std::nullopt;
-  }
+  Envelope env;
   ErrorMessage error;
-  error.transaction_id = *t;
-  error.code = list[0].as_integer();
-  error.message = list[1].as_string();
+  if (!read_envelope(datagram, 'e', env)) return std::nullopt;
+  if (!read_header(env, 'e', error.transaction_id)) return std::nullopt;
+  if (env.body.empty() || env.body[0] != 'l') return std::nullopt;
+  std::string_view items[2];
+  std::size_t count = 0;
+  bencode::walk_list(env.body, [&](std::string_view raw) {
+    if (count < 2) items[count] = raw;
+    ++count;
+  });
+  if (count != 2) return std::nullopt;
+  const auto code = bencode::raw_integer(items[0]);
+  const auto message = bencode::raw_string(items[1]);
+  if (!code || !message) return std::nullopt;
+  error.code = *code;
+  error.message.assign(*message);
   return error;
 }
 
 std::optional<char> message_kind(std::string_view datagram) {
-  try {
-    const bencode::Value root = bencode::decode(datagram);
-    if (!root.is_dict()) return std::nullopt;
-    const auto y = root.find_string("y");
-    if (!y || y->size() != 1) return std::nullopt;
-    const char kind = (*y)[0];
-    if (kind != 'q' && kind != 'r' && kind != 'e') return std::nullopt;
-    return kind;
-  } catch (const bencode::Error&) {
-    return std::nullopt;
-  }
+  Envelope env;
+  if (!read_envelope(datagram, 'q', env)) return std::nullopt;
+  const auto y = bencode::raw_string(env.y);
+  if (!y || y->size() != 1) return std::nullopt;
+  const char kind = (*y)[0];
+  if (kind != 'q' && kind != 'r' && kind != 'e') return std::nullopt;
+  return kind;
 }
 
 }  // namespace btpub::dht

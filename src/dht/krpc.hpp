@@ -6,8 +6,11 @@
 // Transaction ids correlate a response with its query; the overlay's RPC
 // layer enforces the echo. Encoding goes through bencode::Writer so a warm
 // buffer makes the hot lookup path allocation-light, exactly like the
-// tracker's announce fast path; decoding reuses the tree parser because
-// queries arrive from untrusted peers and need full validation anyway.
+// tracker's announce fast path. Decoding is one validating
+// bencode::walk_dict over the top-level dict plus one over its "a"/"r"/"e"
+// value: every datagram is checked exactly as bencode::decode would check
+// it (queries arrive from untrusted peers), but no Value tree is built and
+// decode_into refills a caller's message without reallocating.
 #pragma once
 
 #include <cstdint>
@@ -62,6 +65,9 @@ struct Query {
   std::string encode() const;
   void encode_into(std::string& out) const;
   static std::optional<Query> decode(std::string_view datagram);
+  /// decode() into an existing message, reusing its buffers; false (and
+  /// `out` left partly written) when decode() would give nullopt.
+  static bool decode_into(std::string_view datagram, Query& out);
 };
 
 /// A KRPC response message.
@@ -78,6 +84,9 @@ struct Response {
   std::string encode() const;
   void encode_into(std::string& out) const;
   static std::optional<Response> decode(std::string_view datagram);
+  /// decode() into an existing message, reusing its buffers; false (and
+  /// `out` left partly written) when decode() would give nullopt.
+  static bool decode_into(std::string_view datagram, Response& out);
 };
 
 /// A KRPC error message ([code, message]).
@@ -87,6 +96,7 @@ struct ErrorMessage {
   std::string message;
 
   std::string encode() const;
+  void encode_into(std::string& out) const;
   static std::optional<ErrorMessage> decode(std::string_view datagram);
 };
 

@@ -84,10 +84,10 @@ void PeerStore::expire(SimTime now) {
 
 // ---- node -----------------------------------------------------------------
 
-std::string DhtNode::handle(std::string_view datagram, const Endpoint& from,
-                            SimTime now) {
-  const auto query = Query::decode(datagram);
-  if (!query) {
+const std::string& DhtNode::handle(std::string_view datagram,
+                                   const Endpoint& from, SimTime now) {
+  Query query;
+  if (!Query::decode_into(datagram, query)) {
     ErrorMessage error;
     error.code = kErrorProtocol;
     error.message = "malformed query";
@@ -96,57 +96,60 @@ std::string DhtNode::handle(std::string_view datagram, const Endpoint& from,
       error.code = kErrorUnknownMethod;
       error.message = "unknown method";
     }
-    return error.encode();
+    error.encode_into(reply_);
+    return reply_;
   }
   ++queries_served_;
   // Every well-formed query is evidence the sender is alive; BEP 43
   // read-only senders are explicitly not added.
-  if (!query->read_only) table_.observe(query->sender_id, from, now);
+  if (!query.read_only) table_.observe(query.sender_id, from, now);
 
-  Response response;
-  response.transaction_id = query->transaction_id;
-  response.sender_id = id();
-  switch (query->method) {
+  const auto add_closest = [&](const NodeId& target) {
+    table_.closest(target, RoutingTable::kBucketSize, closest_scratch_);
+    for (const Contact& contact : closest_scratch_) {
+      response_.nodes.push_back(NodeInfo{contact.id, contact.endpoint});
+    }
+  };
+  response_.transaction_id = query.transaction_id;
+  response_.sender_id = id();
+  response_.nodes.clear();
+  response_.peers.clear();
+  response_.token.clear();
+  switch (query.method) {
     case Method::Ping:
       break;
-    case Method::FindNode: {
-      table_.closest(query->target, RoutingTable::kBucketSize, closest_scratch_);
-      for (const Contact& contact : closest_scratch_) {
-        response.nodes.push_back(NodeInfo{contact.id, contact.endpoint});
-      }
+    case Method::FindNode:
+      add_closest(query.target);
       break;
-    }
     case Method::GetPeers: {
-      const NodeId target = NodeId::from_digest(query->info_hash);
-      store_.collect(query->info_hash, now, response.peers);
+      store_.collect(query.info_hash, now, response_.peers);
       // Nodes are returned alongside any values (the BEP 5 errata modern
       // clients implement): withholding them would terminate every lookup
       // at the first node holding peers, so announces would pile up there
       // instead of spreading to the k genuinely closest nodes.
-      table_.closest(target, RoutingTable::kBucketSize, closest_scratch_);
-      for (const Contact& contact : closest_scratch_) {
-        response.nodes.push_back(NodeInfo{contact.id, contact.endpoint});
-      }
-      response.token = tokens_.token_for(from.ip, now);
+      add_closest(NodeId::from_digest(query.info_hash));
+      response_.token = tokens_.token_for(from.ip, now);
       break;
     }
     case Method::AnnouncePeer: {
-      if (!tokens_.valid(query->token, from.ip, now)) {
+      if (!tokens_.valid(query.token, from.ip, now)) {
         ErrorMessage error;
-        error.transaction_id = query->transaction_id;
+        error.transaction_id = query.transaction_id;
         error.code = kErrorProtocol;
         error.message = "bad token";
-        return error.encode();
+        error.encode_into(reply_);
+        return reply_;
       }
       // The announced peer is the sender's IP at the port it asked for —
       // BEP 5 stores the source address, which is what defeats the
       // spoofed-IP trick that works on trackers (the paper's fake
       // publishers): you cannot announce an address you don't hold.
-      store_.announce(query->info_hash, Endpoint{from.ip, query->port}, now);
+      store_.announce(query.info_hash, Endpoint{from.ip, query.port}, now);
       break;
     }
   }
-  return response.encode();
+  response_.encode_into(reply_);
+  return reply_;
 }
 
 }  // namespace btpub::dht

@@ -99,9 +99,10 @@ class DhtNode {
 
   /// Handles one query datagram from `from` at time `now`; returns the
   /// response (or error) datagram. Non-query or malformed datagrams yield
-  /// a protocol-error message.
-  std::string handle(std::string_view datagram, const Endpoint& from,
-                     SimTime now);
+  /// a protocol-error message. The reply lives in a buffer this node
+  /// reuses: it stays valid until the next handle() call.
+  const std::string& handle(std::string_view datagram, const Endpoint& from,
+                            SimTime now);
 
   std::uint64_t queries_served() const noexcept { return queries_served_; }
 
@@ -111,6 +112,9 @@ class DhtNode {
   TokenJar tokens_;
   PeerStore store_;
   std::vector<Contact> closest_scratch_;
+  // Reused per datagram, so a warm node answers without allocating.
+  Response response_;
+  std::string reply_;
   std::uint64_t queries_served_ = 0;
 };
 

@@ -17,18 +17,25 @@
 //     imposes).
 //
 // Determinism: node ids derive from (seed, endpoint); transaction ids come
-// from a single sequential counter; the node registry is an ordered map;
-// lookups break distance ties on the id bytes. Two overlays built from the
-// same seed and fed the same schedule answer every query byte-identically.
+// from a single sequential counter; each lookup round ranks candidates by
+// a top-k selection that breaks equal-id ties on the candidate's index, so
+// the order is total; and nothing iterates the hashed node registry or the
+// lookups' flat endpoint sets, so no address or hash order reaches a
+// datagram. Two overlays built from the same seed and fed the same
+// schedule answer every query byte-identically.
+//
+// Cost: one datagram is an encode into a reused buffer, a validating
+// bencode walk at the receiving node, an encode into that node's reused
+// reply buffer and a walk back into a reused Response. A warm overlay
+// sends and reads datagrams without allocating.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "dht/node.hpp"
@@ -88,9 +95,11 @@ class DhtOverlay {
 
   // ---- wire-level ----------------------------------------------------------
 
-  /// Delivers one datagram; nullopt models a timeout (unknown endpoint).
-  std::optional<std::string> send(const Endpoint& to, std::string_view datagram,
-                                  const Endpoint& from, SimTime now);
+  /// Delivers one datagram and returns the addressed node's reply, valid
+  /// until that node handles its next datagram; null models a timeout
+  /// (unknown endpoint).
+  const std::string* send(const Endpoint& to, std::string_view datagram,
+                          const Endpoint& from, SimTime now);
 
   // ---- client operations ----------------------------------------------------
 
@@ -121,28 +130,74 @@ class DhtOverlay {
     bool queried = false;
     bool responded = false;
   };
-  struct LookupResult {
-    std::vector<Endpoint> peers;
-    /// The closest responding nodes with the tokens they handed out.
-    std::vector<std::pair<NodeInfo, std::string>> closest;
+  /// Open-addressing set of (ip, port) with linear probing. clear() keeps
+  /// the capacity, so a warm lookup inserts without allocating. Never
+  /// iterated: membership is all it answers.
+  class EndpointSet {
+   public:
+    /// True when `endpoint` was not yet in the set.
+    bool insert(const Endpoint& endpoint);
+    void clear();
+
+   private:
+    void grow();
+
+    std::vector<std::uint64_t> slots_;  // 0 = empty, else the packed key
+    std::size_t size_ = 0;
+    int shift_ = 64;
   };
 
-  LookupResult iterative_get_peers(const Sha1Digest& info_hash,
-                                   const Endpoint& from, SimTime now,
-                                   LookupStats* stats,
-                                   std::span<const Endpoint> bootstrap,
-                                   bool read_only);
+  /// Fills `lookup_`: the distinct peers found and the closest responding
+  /// nodes with the tokens they handed out.
+  void iterative_get_peers(const Sha1Digest& info_hash, const Endpoint& from,
+                           SimTime now, LookupStats* stats,
+                           std::span<const Endpoint> bootstrap, bool read_only);
   /// Iterative find_node used by joins; routing tables fill as a side
   /// effect of the traffic.
   void iterative_find_node(DhtNode& from, const NodeId& target, SimTime now);
+  /// Starts a walk: empties the candidate list and its endpoint set.
+  void reset_candidates();
+  void add_candidate(const Endpoint& endpoint, const NodeId* id,
+                     const Endpoint& self);
+  /// Picks the next round's targets into `round_`: every unqueried id-less
+  /// bootstrap entry, then the unqueried candidates among the k closest
+  /// known ones, at most kAlpha in all. False when there are none left.
+  bool next_round(const NodeId& target);
+  /// Encodes `query` into the reused datagram buffer, sends it and decodes
+  /// the reply into `response_`; false on timeout, an undecodable reply or
+  /// a transaction-id mismatch.
+  bool call(const Endpoint& to, const Query& query, const Endpoint& from,
+            SimTime now);
   std::string next_transaction_id();
 
   std::uint64_t seed_;
   EventQueue events_;
   Endpoint router_endpoint_;
-  std::map<Endpoint, std::unique_ptr<DhtNode>> nodes_;
+  // Looked up by endpoint only, never iterated, so hash order cannot leak.
+  std::unordered_map<Endpoint, std::unique_ptr<DhtNode>> nodes_;
   std::uint64_t next_transaction_ = 0;
   std::uint64_t datagrams_ = 0;
+
+  // Walk state, reused by every lookup. Walks never nest: a node's handler
+  // sends nothing, and advance_to() is never called from inside a walk.
+  std::vector<Candidate> candidates_;
+  EndpointSet known_endpoints_;
+  EndpointSet known_peers_;
+  struct Ranked {
+    DistanceKey distance;
+    std::size_t index;  // into candidates_; breaks equal-id ties
+
+    friend auto operator<=>(const Ranked&, const Ranked&) = default;
+  };
+  std::vector<Ranked> ranked_;
+  std::vector<std::size_t> round_;
+  std::vector<Contact> seeds_;
+  std::string datagram_;
+  Response response_;
+  struct {
+    std::vector<Endpoint> peers;
+    std::vector<std::pair<NodeInfo, std::string>> closest;
+  } lookup_;
 };
 
 }  // namespace btpub::dht

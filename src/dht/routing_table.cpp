@@ -45,17 +45,34 @@ void RoutingTable::remove(const NodeId& id) {
 
 void RoutingTable::closest(const NodeId& target, std::size_t k,
                            std::vector<Contact>& out) const {
-  // A full table holds at most 160*k contacts; gathering and sorting them
-  // all keeps the selection obviously total-ordered (XOR distances are
-  // unique per id, so the order is deterministic).
+  // Buckets come in a fixed distance order from `target`. With j the
+  // target's own bucket, every contact of bucket j is closer than any
+  // other (their distance to the target is below 2^j); buckets 0..j-1 come
+  // next, together (their distances all have top bit j); then buckets
+  // j+1, j+2, ... one by one (top bit i for bucket i). Gathering groups in
+  // that order until k contacts are in hand, then selecting the k closest
+  // of those, gives exactly the k closest of the whole table. Ids in a
+  // table are unique, so XOR distances are too and the order is total.
   out.clear();
-  for (const Bucket& bucket : buckets_) {
-    out.insert(out.end(), bucket.begin(), bucket.end());
+  const int j = distance_bit(distance(self_, target));
+  const auto gather = [&](int from, int to) {  // buckets [from, to)
+    for (int i = from; i < to; ++i) {
+      const Bucket& bucket = buckets_[static_cast<std::size_t>(i)];
+      out.insert(out.end(), bucket.begin(), bucket.end());
+    }
+  };
+  if (j >= 0) {
+    gather(j, j + 1);
+    if (out.size() < k) gather(0, j);
   }
-  std::sort(out.begin(), out.end(), [&](const Contact& a, const Contact& b) {
-    return closer(a.id, b.id, target);
-  });
-  if (out.size() > k) out.resize(k);
+  for (int i = j + 1; i < 160 && out.size() < k; ++i) gather(i, i + 1);
+
+  const std::size_t n = std::min(k, out.size());
+  std::partial_sort(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(n),
+                    out.end(), [&](const Contact& a, const Contact& b) {
+                      return closer(a.id, b.id, target);
+                    });
+  out.resize(n);
 }
 
 std::size_t RoutingTable::size() const noexcept {

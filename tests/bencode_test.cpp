@@ -1,6 +1,11 @@
-// Bencode codec tests: round trips, canonical-form enforcement, and the
-// malformed inputs a crawler must survive.
+// Bencode codec tests: round trips, canonical-form enforcement, the
+// malformed inputs a crawler must survive, and the tree-free dict/list
+// walker that validates exactly as decode() does.
 #include "bencode/bencode.hpp"
+
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -173,6 +178,85 @@ TEST(FindRaw, ValidatesLikeDecode) {
   deep += 'e';
   EXPECT_THROW(find_raw(deep, "a"), Error);
   EXPECT_THROW(decode(deep), Error);
+}
+
+// ---- walk_dict / walk_list ----
+
+/// Every input a Decode.Rejects* case (or the overflow case) rejects.
+std::vector<std::string> decode_rejects() {
+  std::string bomb;
+  for (int i = 0; i < 200; ++i) bomb += "l";
+  for (int i = 0; i < 200; ++i) bomb += "e";
+  return {"i1e i2e", "4:spamX",                                   // trailing
+          "i42", "7:spam", "li1e", "d1:a", "",                    // truncated
+          "i-0e", "i007e", "i-01e", "ie", "i-e", "i1.5e",         // integers
+          "d1:bi1e1:ai2ee", "d1:ai1e1:ai2ee",                     // key order
+          bomb, "i99999999999999999999999999e"};
+}
+
+TEST(WalkDict, RejectsEveryInputDecodeRejects) {
+  const auto ignore_entry = [](std::string_view, std::string_view) {};
+  const auto ignore_item = [](std::string_view) {};
+  for (const std::string& bad : decode_rejects()) {
+    EXPECT_THROW(decode(bad), Error) << bad;
+    EXPECT_THROW(walk_dict(bad, ignore_entry), Error) << bad;
+    EXPECT_THROW(walk_list(bad, ignore_item), Error) << bad;
+    if (bad.empty()) continue;  // "le" is a valid empty list
+    // Under a key or in a list, so the walkers' own validation of the
+    // values they skip is what rejects it.
+    const std::string in_dict = "d1:k" + bad + "e";
+    const std::string in_list = "l" + bad + "e";
+    EXPECT_THROW(decode(in_dict), Error) << in_dict;
+    EXPECT_THROW(walk_dict(in_dict, ignore_entry), Error) << in_dict;
+    EXPECT_THROW(decode(in_list), Error) << in_list;
+    EXPECT_THROW(walk_list(in_list, ignore_item), Error) << in_list;
+  }
+  EXPECT_THROW(walk_dict("li1ee", ignore_entry), Error);  // not a dict
+  EXPECT_THROW(walk_list("de", ignore_item), Error);      // not a list
+  EXPECT_THROW(walk_dict("d1:ai1eeX", ignore_entry), Error);
+  EXPECT_THROW(walk_list("leX", ignore_item), Error);
+}
+
+TEST(WalkDict, YieldsEntriesInKeyOrderAsFindRawDoes) {
+  const std::string doc = "d1:ai1e4:infod4:name1:x6:pieces3:abce1:zl1:qee";
+  std::vector<std::pair<std::string, std::string>> entries;
+  walk_dict(doc, [&](std::string_view key, std::string_view raw) {
+    entries.emplace_back(key, raw);
+  });
+  ASSERT_EQ(entries.size(), 3u);
+  EXPECT_EQ(entries[0].first, "a");
+  EXPECT_EQ(entries[1].first, "info");
+  EXPECT_EQ(entries[2].first, "z");
+  for (const auto& [key, raw] : entries) {
+    EXPECT_EQ(find_raw(doc, key), raw) << key;
+    EXPECT_EQ(raw, encode(decode(doc).at(key))) << key;
+  }
+  walk_dict("de", [](std::string_view, std::string_view) {
+    ADD_FAILURE() << "an empty dict has no entries";
+  });
+}
+
+TEST(WalkList, YieldsItemsInOrder) {
+  std::vector<std::string> items;
+  walk_list("li1e4:spamd1:xi2eelee", [&](std::string_view raw) {
+    items.emplace_back(raw);
+  });
+  EXPECT_EQ(items, (std::vector<std::string>{"i1e", "4:spam", "d1:xi2ee", "le"}));
+}
+
+TEST(RawValues, ReadStringsAndIntegers) {
+  EXPECT_EQ(raw_string("4:spam"), "spam");
+  EXPECT_EQ(raw_string("0:"), "");
+  EXPECT_EQ(raw_string("12:hello:world"), "hello:world");
+  EXPECT_EQ(raw_string("i1e"), std::nullopt);
+  EXPECT_EQ(raw_string("le"), std::nullopt);
+  EXPECT_EQ(raw_string(""), std::nullopt);
+  EXPECT_EQ(raw_integer("i0e"), 0);
+  EXPECT_EQ(raw_integer("i-42e"), -42);
+  EXPECT_EQ(raw_integer("i9223372036854775807e"), INT64_MAX);
+  EXPECT_EQ(raw_integer("4:spam"), std::nullopt);
+  EXPECT_EQ(raw_integer("de"), std::nullopt);
+  EXPECT_EQ(raw_integer(""), std::nullopt);
 }
 
 }  // namespace

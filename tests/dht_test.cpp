@@ -1,12 +1,18 @@
 // Mainline DHT building blocks (BEP 5): node ids and the XOR metric, KRPC
-// codecs, k-bucket routing tables, rotating announce tokens, and the
-// per-node peer store + query handler.
+// codecs (the BEP 5 example messages and a seeded hostile-input sweep),
+// k-bucket routing tables, rotating announce tokens, and the per-node peer
+// store + query handler.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "bencode/bencode.hpp"
 #include "dht/node.hpp"
 #include "dht/node_id.hpp"
 #include "dht/krpc.hpp"
 #include "dht/routing_table.hpp"
+#include "util/rng.hpp"
 
 namespace btpub::dht {
 namespace {
@@ -153,6 +159,232 @@ TEST(KrpcTest, DecodeRejectsMalformedMessages) {
   EXPECT_FALSE(Query::decode(wire).has_value());
 }
 
+// ---- the BEP 5 example messages ----
+
+NodeId id_of(std::string_view twenty) {
+  NodeId id;
+  std::copy(twenty.begin(), twenty.end(), id.bytes.begin());
+  return id;
+}
+
+TEST(KrpcBep5Examples, QueriesDecodeToTheirFields) {
+  const auto ping = Query::decode(
+      "d1:ad2:id20:abcdefghij0123456789e1:q4:ping1:t2:aa1:y1:qe");
+  ASSERT_TRUE(ping.has_value());
+  EXPECT_EQ(ping->transaction_id, "aa");
+  EXPECT_EQ(ping->method, Method::Ping);
+  EXPECT_EQ(ping->sender_id, id_of("abcdefghij0123456789"));
+  EXPECT_FALSE(ping->read_only);
+
+  const auto find_node = Query::decode(
+      "d1:ad2:id20:abcdefghij01234567896:target20:mnopqrstuvwxyz123456e"
+      "1:q9:find_node1:t2:aa1:y1:qe");
+  ASSERT_TRUE(find_node.has_value());
+  EXPECT_EQ(find_node->method, Method::FindNode);
+  EXPECT_EQ(find_node->sender_id, id_of("abcdefghij0123456789"));
+  EXPECT_EQ(find_node->target, id_of("mnopqrstuvwxyz123456"));
+
+  const auto get_peers = Query::decode(
+      "d1:ad2:id20:abcdefghij01234567899:info_hash20:mnopqrstuvwxyz123456e"
+      "1:q9:get_peers1:t2:aa1:y1:qe");
+  ASSERT_TRUE(get_peers.has_value());
+  EXPECT_EQ(get_peers->method, Method::GetPeers);
+  EXPECT_EQ(get_peers->info_hash, id_of("mnopqrstuvwxyz123456").to_digest());
+  EXPECT_EQ(get_peers->target, NodeId{});  // not a get_peers argument
+
+  // implied_port is not modelled: it is skipped, and the explicit port read.
+  const auto announce = Query::decode(
+      "d1:ad2:id20:abcdefghij012345678912:implied_porti1e"
+      "9:info_hash20:mnopqrstuvwxyz1234564:porti6881e5:token8:aoeusnthe"
+      "1:q13:announce_peer1:t2:aa1:y1:qe");
+  ASSERT_TRUE(announce.has_value());
+  EXPECT_EQ(announce->method, Method::AnnouncePeer);
+  EXPECT_EQ(announce->sender_id, id_of("abcdefghij0123456789"));
+  EXPECT_EQ(announce->info_hash, id_of("mnopqrstuvwxyz123456").to_digest());
+  EXPECT_EQ(announce->port, 6881);
+  EXPECT_EQ(announce->token, "aoeusnth");
+}
+
+TEST(KrpcBep5Examples, ResponsesAndErrorsDecodeToTheirFields) {
+  // ping and announce_peer share this reply.
+  const auto bare = Response::decode(
+      "d1:rd2:id20:mnopqrstuvwxyz123456e1:t2:aa1:y1:re");
+  ASSERT_TRUE(bare.has_value());
+  EXPECT_EQ(bare->transaction_id, "aa");
+  EXPECT_EQ(bare->sender_id, id_of("mnopqrstuvwxyz123456"));
+  EXPECT_TRUE(bare->nodes.empty());
+  EXPECT_TRUE(bare->peers.empty());
+  EXPECT_TRUE(bare->token.empty());
+
+  const auto values = Response::decode(
+      "d1:rd2:id20:abcdefghij01234567895:token8:aoeusnth"
+      "6:valuesl6:axje.u6:idhtnmee1:t2:aa1:y1:re");
+  ASSERT_TRUE(values.has_value());
+  EXPECT_EQ(values->sender_id, id_of("abcdefghij0123456789"));
+  EXPECT_EQ(values->token, "aoeusnth");
+  ASSERT_EQ(values->peers.size(), 2u);
+  EXPECT_EQ(values->peers[0], (Endpoint{IpAddress(97, 120, 106, 101), 0x2e75}));
+  EXPECT_EQ(values->peers[1], (Endpoint{IpAddress(105, 100, 104, 116), 0x6e6d}));
+
+  // The BEP's "nodes" placeholder is 9 bytes, not a multiple of 26.
+  EXPECT_FALSE(Response::decode("d1:rd2:id20:0123456789abcdefghij"
+                                "5:nodes9:def456...e1:t2:aa1:y1:re")
+                   .has_value());
+  const std::string node("mnopqrstuvwxyz123456" "\x0a\x00\x00\x01\x1a\xe1", 26);
+  const auto nodes = Response::decode("d1:rd2:id20:0123456789abcdefghij"
+                                      "5:nodes26:" + node + "e1:t2:aa1:y1:re");
+  ASSERT_TRUE(nodes.has_value());
+  ASSERT_EQ(nodes->nodes.size(), 1u);
+  EXPECT_EQ(nodes->nodes[0].id, id_of("mnopqrstuvwxyz123456"));
+  EXPECT_EQ(nodes->nodes[0].endpoint, (Endpoint{IpAddress(10, 0, 0, 1), 6881}));
+
+  const std::string error_wire = "d1:eli201e23:A Generic Error Ocurrede1:t2:aa1:y1:ee";
+  const auto error = ErrorMessage::decode(error_wire);
+  ASSERT_TRUE(error.has_value());
+  EXPECT_EQ(error->transaction_id, "aa");
+  EXPECT_EQ(error->code, kErrorGeneric);
+  EXPECT_EQ(error->message, "A Generic Error Ocurred");
+  EXPECT_EQ(message_kind(error_wire), 'e');
+  EXPECT_FALSE(Query::decode(error_wire).has_value());
+  EXPECT_FALSE(Response::decode(error_wire).has_value());
+}
+
+TEST(KrpcBep5Examples, MistypedOptionalFieldsFollowTheFieldRules) {
+  // A non-integer "ro" means not read-only; a non-string "nodes" or
+  // "token" reads as absent; a "values" entry that is not a 6-byte string
+  // rejects the reply.
+  const auto ro = Query::decode(
+      "d1:ad2:id20:abcdefghij0123456789e1:q4:ping2:ro1:x1:t2:aa1:y1:qe");
+  ASSERT_TRUE(ro.has_value());
+  EXPECT_FALSE(ro->read_only);
+  const auto mistyped = Response::decode(
+      "d1:rd2:id20:abcdefghij01234567895:nodesi1e5:tokenlee1:t2:aa1:y1:re");
+  ASSERT_TRUE(mistyped.has_value());
+  EXPECT_TRUE(mistyped->nodes.empty());
+  EXPECT_TRUE(mistyped->token.empty());
+  EXPECT_FALSE(Response::decode("d1:rd2:id20:abcdefghij0123456789"
+                                "6:valuesl5:axje.ee1:t2:aa1:y1:re")
+                   .has_value());
+  EXPECT_FALSE(Response::decode("d1:rd2:id20:abcdefghij0123456789"
+                                "6:valuesi1ee1:t2:aa1:y1:re")
+                   .has_value());
+}
+
+// ---- hostile-input sweep ----
+
+void expect_query_eq(const Query& a, const Query& b) {
+  EXPECT_EQ(a.transaction_id, b.transaction_id);
+  EXPECT_EQ(a.method, b.method);
+  EXPECT_EQ(a.sender_id, b.sender_id);
+  EXPECT_EQ(a.target, b.target);
+  EXPECT_EQ(a.info_hash, b.info_hash);
+  EXPECT_EQ(a.port, b.port);
+  EXPECT_EQ(a.token, b.token);
+  EXPECT_EQ(a.read_only, b.read_only);
+}
+
+/// One byte flip, truncation or insertion at a random position.
+void mutate(std::string& wire, Rng& rng) {
+  const std::size_t at = wire.empty() ? 0 : rng.next() % wire.size();
+  switch (rng.next() % 3) {
+    case 0:
+      if (!wire.empty()) wire[at] = static_cast<char>(wire[at] ^ (1 << (rng.next() % 8)));
+      break;
+    case 1:
+      wire.resize(at);
+      break;
+    default:
+      wire.insert(at, 1, static_cast<char>(rng.next()));
+      break;
+  }
+}
+
+TEST(KrpcHostileInput, MutatedDatagramsAreRejectedOrRoundTrip) {
+  std::vector<std::string> seeds;
+  for (const Method method : {Method::Ping, Method::FindNode, Method::GetPeers,
+                              Method::AnnouncePeer}) {
+    Query query;
+    query.transaction_id = "tx";
+    query.method = method;
+    query.sender_id = id_with(0x42, 0x24);
+    query.target = id_with(0x11, 0x99);
+    query.info_hash = Sha1::hash("sweep");
+    query.port = 51413;
+    query.token = "tok12345";
+    query.read_only = method == Method::GetPeers;
+    seeds.push_back(query.encode());
+  }
+  Response response;
+  response.transaction_id = "rx";
+  response.sender_id = id_with(0x77, 0x01);
+  response.nodes = {{id_with(0x01), {IpAddress(10, 1, 1, 1), 1000}},
+                    {id_with(0x02), {IpAddress(10, 1, 1, 2), 2000}}};
+  response.peers = {{IpAddress(10, 2, 2, 1), 3000}, {IpAddress(10, 2, 2, 2), 4000}};
+  response.token = "write-token";
+  seeds.push_back(response.encode());
+  ErrorMessage error;
+  error.transaction_id = "ex";
+  error.code = kErrorProtocol;
+  error.message = "bad token";
+  seeds.push_back(error.encode());
+
+  DhtNode node(id_with(0x55), {IpAddress(10, 0, 0, 9), 6881}, 0xC0FFEE);
+  const Endpoint from{IpAddress(10, 0, 0, 7), 6881};
+  Rng rng(0x5EED);
+  constexpr int kMutations = 30000;
+  int tree_rejected = 0, accepted = 0;
+  for (int i = 0; i < kMutations; ++i) {
+    std::string wire = seeds[static_cast<std::size_t>(i) % seeds.size()];
+    const int rounds = 1 + static_cast<int>(rng.next() % 3);
+    for (int r = 0; r < rounds; ++r) mutate(wire, rng);
+
+    bool tree_ok = true;
+    try {
+      bencode::decode(wire);
+    } catch (const bencode::Error&) {
+      tree_ok = false;
+    }
+    const auto query = Query::decode(wire);
+    const auto reply = Response::decode(wire);
+    const auto err = ErrorMessage::decode(wire);
+    if (!tree_ok) {
+      ++tree_rejected;
+      EXPECT_FALSE(query.has_value()) << i;
+      EXPECT_FALSE(reply.has_value()) << i;
+      EXPECT_FALSE(err.has_value()) << i;
+      EXPECT_FALSE(message_kind(wire).has_value()) << i;
+      EXPECT_TRUE(ErrorMessage::decode(node.handle(wire, from, 100)).has_value())
+          << i;
+      continue;
+    }
+    accepted += query.has_value() + reply.has_value() + err.has_value();
+    if (query) {
+      const auto again = Query::decode(query->encode());
+      ASSERT_TRUE(again.has_value()) << i;
+      expect_query_eq(*query, *again);
+    }
+    if (reply) {
+      const auto again = Response::decode(reply->encode());
+      ASSERT_TRUE(again.has_value()) << i;
+      EXPECT_EQ(again->transaction_id, reply->transaction_id) << i;
+      EXPECT_EQ(again->sender_id, reply->sender_id) << i;
+      EXPECT_EQ(again->nodes, reply->nodes) << i;
+      EXPECT_EQ(again->peers, reply->peers) << i;
+      EXPECT_EQ(again->token, reply->token) << i;
+    }
+    if (err) {
+      const auto again = ErrorMessage::decode(err->encode());
+      ASSERT_TRUE(again.has_value()) << i;
+      EXPECT_EQ(again->transaction_id, err->transaction_id) << i;
+      EXPECT_EQ(again->code, err->code) << i;
+      EXPECT_EQ(again->message, err->message) << i;
+    }
+  }
+  // The sweep reaches both sides of the validator.
+  EXPECT_GT(tree_rejected, kMutations / 4);
+  EXPECT_GT(accepted, kMutations / 20);
+}
+
 // ---- routing table ----
 
 TEST(RoutingTableTest, ObserveInsertsAndSelfIsIgnored) {
@@ -197,6 +429,49 @@ TEST(RoutingTableTest, ClosestReturnsXorOrder) {
   // Every later entry is no closer than its predecessor.
   for (std::size_t i = 1; i < out.size(); ++i) {
     EXPECT_FALSE(closer(out[i].id, out[i - 1].id, id_with(0x01)));
+  }
+}
+
+TEST(RoutingTableTest, ClosestEqualsAFullSortOfTheTable) {
+  // Random tables, including targets at, near and far from the own id:
+  // the bucket-ordered selection must give a full sort's first k.
+  Rng rng(77);
+  const auto random_id = [&] {
+    NodeId id;
+    for (auto& b : id.bytes) b = static_cast<std::uint8_t>(rng.next());
+    return id;
+  };
+  for (int trial = 0; trial < 50; ++trial) {
+    const NodeId self = random_id();
+    RoutingTable table(self);
+    std::vector<Contact> all;
+    for (std::uint32_t i = 0; i < 400; ++i) {
+      NodeId id = random_id();
+      // Some contacts share a long prefix with the own id, so low buckets
+      // fill too.
+      if (i % 4 == 0) std::copy_n(self.bytes.begin(), 1 + i % 19, id.bytes.begin());
+      const Endpoint endpoint{IpAddress(0x0A000000u + i), 6881};
+      table.observe(id, endpoint, 0);
+    }
+    // Every contact, through closest() with a k above the table size.
+    table.closest(self, 10000, all);
+    ASSERT_EQ(all.size(), table.size());
+    for (int t = 0; t < 8; ++t) {
+      NodeId target = t == 0 ? self : random_id();
+      if (t % 2 == 1) std::copy_n(self.bytes.begin(), 2 * t, target.bytes.begin());
+      std::vector<Contact> expected = all;
+      std::sort(expected.begin(), expected.end(), [&](const Contact& a, const Contact& b) {
+        return closer(a.id, b.id, target);
+      });
+      for (const std::size_t k : {std::size_t{1}, std::size_t{8}, std::size_t{20}}) {
+        std::vector<Contact> got;
+        table.closest(target, k, got);
+        ASSERT_EQ(got.size(), std::min(k, expected.size()));
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].id, expected[i].id) << trial << " " << t << " " << k;
+        }
+      }
+    }
   }
 }
 
