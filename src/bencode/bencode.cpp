@@ -83,13 +83,9 @@ namespace {
 /// Appends the decimal digits of `v` without going through std::to_string
 /// (keeps the writer allocation-free regardless of SSO limits).
 void append_decimal(std::int64_t v, std::string& out) {
-  if (v >= 0 && v < 10) {  // most key and string-length headers
-    out += static_cast<char>('0' + v);
-    return;
-  }
   char buf[24];
   const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, static_cast<std::size_t>(res.ptr - buf));
+  out.append(buf, res.ptr);
 }
 
 }  // namespace
@@ -201,31 +197,23 @@ class Parser {
   }
 
   std::int64_t parse_raw_integer(char terminator) {
-    const bool negative = peek() == '-';
-    if (negative) ++pos_;
-    const std::size_t first = pos_;
-    // Accumulated while scanning; exact whenever it is used (<= 18 digits).
-    std::uint64_t magnitude = 0;
-    while (pos_ < data_.size() && data_[pos_] >= '0' && data_[pos_] <= '9') {
-      magnitude = magnitude * 10 + static_cast<std::uint64_t>(data_[pos_] - '0');
-      ++pos_;
+    const std::size_t start = pos_;
+    if (peek() == '-') ++pos_;
+    while (pos_ < data_.size() && data_[pos_] >= '0' && data_[pos_] <= '9') ++pos_;
+    if (pos_ == start || (data_[start] == '-' && pos_ == start + 1)) {
+      throw Error("bencode: malformed integer");
     }
-    const std::size_t n = pos_ - first;
-    if (n == 0) throw Error("bencode: malformed integer");
     // i-0e and leading zeroes are invalid per BEP 3.
-    if (data_[first] == '0' && (n > 1 || negative)) {
+    const std::string_view digits = data_.substr(start, pos_ - start);
+    if (digits == "-0" ||
+        (digits.size() > 1 && digits[0] == '0') ||
+        (digits.size() > 2 && digits[0] == '-' && digits[1] == '0')) {
       throw Error("bencode: non-canonical integer");
     }
     std::int64_t value = 0;
-    if (n <= 18) {
-      value = negative ? -static_cast<std::int64_t>(magnitude)
-                       : static_cast<std::int64_t>(magnitude);
-    } else {
-      const std::size_t start = first - (negative ? 1 : 0);
-      const auto result =
-          std::from_chars(data_.data() + start, data_.data() + pos_, value);
-      if (result.ec != std::errc{}) throw Error("bencode: integer out of range");
-    }
+    const auto result =
+        std::from_chars(digits.data(), digits.data() + digits.size(), value);
+    if (result.ec != std::errc{}) throw Error("bencode: integer out of range");
     if (take() != terminator) throw Error("bencode: bad integer terminator");
     return value;
   }

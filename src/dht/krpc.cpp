@@ -314,12 +314,17 @@ bool Response::decode_into(std::string_view datagram, Response& response) {
   if (const auto value = bencode::raw_string(token)) response.token.assign(*value);
   if (!values.empty()) {
     if (values[0] != 'l') return false;
-    // The list is validated canonical bencode, so an entry is a 6-byte
-    // string exactly when it starts with "6:"; anything else rejects.
-    for (std::size_t at = 1; values[at] != 'e'; at += 8) {
-      if (values.compare(at, 2, "6:") != 0) return false;
-      response.peers.push_back(*parse_compact_peer(values.substr(at + 2, 6)));
-    }
+    // Every entry must be a 6-byte compact peer string.
+    bool compact = true;
+    bencode::walk_list(values, [&](std::string_view raw) {
+      const auto peer = bencode::raw_string(raw);
+      if (!compact || !peer || peer->size() != 6) {
+        compact = false;
+        return;
+      }
+      response.peers.push_back(*parse_compact_peer(*peer));
+    });
+    if (!compact) return false;
   }
   return true;
 }

@@ -7,10 +7,11 @@
 // layer enforces the echo. Encoding goes through bencode::Writer so a warm
 // buffer makes the hot lookup path allocation-light, exactly like the
 // tracker's announce fast path. Decoding is one validating
-// bencode::walk_dict over the top-level dict plus one over its "a"/"r"/"e"
-// value: every datagram is checked exactly as bencode::decode would check
-// it (queries arrive from untrusted peers), but no Value tree is built and
-// decode_into refills a caller's message without reallocating.
+// bencode::walk_dict over the top-level dict, one over its "a"/"r"/"e"
+// value and, for a response with peers, one bencode::walk_list over
+// "values": every datagram is checked exactly as the tree decoder would
+// check it (queries arrive from untrusted peers), but no Value tree is
+// built and decode_into refills a caller's message without reallocating.
 #pragma once
 
 #include <cstdint>

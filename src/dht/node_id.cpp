@@ -27,6 +27,17 @@ NodeId distance(const NodeId& a, const NodeId& b) noexcept {
   return d;
 }
 
+bool closer(const NodeId& a, const NodeId& b, const NodeId& target) noexcept {
+  // Byte-lexicographic comparison of the XOR'd big-endian magnitudes,
+  // without materialising either distance.
+  for (std::size_t i = 0; i < target.bytes.size(); ++i) {
+    const std::uint8_t da = static_cast<std::uint8_t>(a.bytes[i] ^ target.bytes[i]);
+    const std::uint8_t db = static_cast<std::uint8_t>(b.bytes[i] ^ target.bytes[i]);
+    if (da != db) return da < db;
+  }
+  return false;
+}
+
 int distance_bit(const NodeId& d) noexcept {
   for (std::size_t i = 0; i < d.bytes.size(); ++i) {
     if (d.bytes[i] == 0) continue;

@@ -8,10 +8,8 @@
 #pragma once
 
 #include <array>
-#include <bit>
 #include <compare>
 #include <cstdint>
-#include <cstring>
 #include <string>
 
 #include "crypto/sha1.hpp"
@@ -43,46 +41,8 @@ struct NodeId {
 /// XOR distance between two ids (big-endian magnitude order).
 NodeId distance(const NodeId& a, const NodeId& b) noexcept;
 
-namespace detail {
-
-template <typename Word>
-Word load_be(const std::uint8_t* p) noexcept {
-  Word v;
-  std::memcpy(&v, p, sizeof v);
-  if constexpr (std::endian::native == std::endian::little) {
-    if constexpr (sizeof(Word) == 8) return __builtin_bswap64(v);
-    else return __builtin_bswap32(v);
-  }
-  return v;
-}
-
-}  // namespace detail
-
-/// The XOR distance of an id from a target as big-endian words (8 + 8 + 4
-/// bytes), so distances compare as integers without materialising the
-/// 160-bit XOR.
-struct DistanceKey {
-  std::uint64_t high = 0;
-  std::uint64_t middle = 0;
-  std::uint32_t low = 0;
-
-  friend auto operator<=>(const DistanceKey&, const DistanceKey&) = default;
-};
-
-inline DistanceKey distance_key(const NodeId& id, const NodeId& target) noexcept {
-  using detail::load_be;
-  const std::uint8_t* pi = id.bytes.data();
-  const std::uint8_t* pt = target.bytes.data();
-  return {load_be<std::uint64_t>(pi) ^ load_be<std::uint64_t>(pt),
-          load_be<std::uint64_t>(pi + 8) ^ load_be<std::uint64_t>(pt + 8),
-          load_be<std::uint32_t>(pi + 16) ^ load_be<std::uint32_t>(pt + 16)};
-}
-
 /// True when |a - target| < |b - target| under the XOR metric.
-inline bool closer(const NodeId& a, const NodeId& b,
-                   const NodeId& target) noexcept {
-  return distance_key(a, target) < distance_key(b, target);
-}
+bool closer(const NodeId& a, const NodeId& b, const NodeId& target) noexcept;
 
 /// Index of the highest set bit of `d` (159 for the farthest half of the
 /// space, 0 for adjacent ids); -1 when d is zero. This is the k-bucket

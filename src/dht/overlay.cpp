@@ -149,7 +149,7 @@ bool DhtOverlay::next_round(const NodeId& target) {
     // Dead nodes (queried, no response) are excluded from the ranked
     // window so they cannot clog the k closest slots and stall the walk.
     if (c.id_known && (!c.queried || c.responded)) {
-      ranked_.push_back({distance_key(c.id, target), i});
+      ranked_.push_back(i);
     }
   }
   // Only the k closest are read, so select them rather than sort all.
@@ -157,9 +157,13 @@ bool DhtOverlay::next_round(const NodeId& target) {
   // which keeps the order total.
   const std::size_t k = std::min(ranked_.size(), RoutingTable::kBucketSize);
   std::partial_sort(ranked_.begin(), ranked_.begin() + static_cast<std::ptrdiff_t>(k),
-                    ranked_.end());
+                    ranked_.end(), [&](std::size_t a, std::size_t b) {
+                      const NodeId& ia = candidates_[a].id;
+                      const NodeId& ib = candidates_[b].id;
+                      return ia == ib ? a < b : closer(ia, ib, target);
+                    });
   for (std::size_t r = 0; r < k && round_.size() < kAlpha; ++r) {
-    const std::size_t index = ranked_[r].index;
+    const std::size_t index = ranked_[r];
     if (!candidates_[index].queried) round_.push_back(index);
   }
   if (round_.size() > kAlpha) round_.resize(kAlpha);
@@ -276,7 +280,7 @@ std::vector<Endpoint> DhtOverlay::get_peers(const Sha1Digest& info_hash,
                                             std::span<const Endpoint> bootstrap,
                                             bool read_only) {
   iterative_get_peers(info_hash, from, now, stats, bootstrap, read_only);
-  return lookup_.peers;
+  return std::move(lookup_.peers);
 }
 
 void DhtOverlay::announce_peer(const Sha1Digest& info_hash,

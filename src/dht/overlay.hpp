@@ -96,8 +96,8 @@ class DhtOverlay {
   // ---- wire-level ----------------------------------------------------------
 
   /// Delivers one datagram and returns the addressed node's reply, valid
-  /// until that node handles its next datagram; null models a timeout
-  /// (unknown endpoint).
+  /// until that node handles its next datagram or is removed; null models
+  /// a timeout (unknown endpoint).
   const std::string* send(const Endpoint& to, std::string_view datagram,
                           const Endpoint& from, SimTime now);
 
@@ -183,13 +183,7 @@ class DhtOverlay {
   std::vector<Candidate> candidates_;
   EndpointSet known_endpoints_;
   EndpointSet known_peers_;
-  struct Ranked {
-    DistanceKey distance;
-    std::size_t index;  // into candidates_; breaks equal-id ties
-
-    friend auto operator<=>(const Ranked&, const Ranked&) = default;
-  };
-  std::vector<Ranked> ranked_;
+  std::vector<std::size_t> ranked_;  // indices into candidates_
   std::vector<std::size_t> round_;
   std::vector<Contact> seeds_;
   std::string datagram_;
