@@ -1,7 +1,8 @@
 #include "analysis/groups.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <limits>
+#include <stdexcept>
 
 #include "util/parallel.hpp"
 
@@ -23,172 +24,157 @@ std::string_view to_string(TargetGroup g) {
   return "?";
 }
 
+namespace {
+
+constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+constexpr std::uint64_t kNoIp = std::numeric_limits<std::uint64_t>::max();
+
+constexpr std::uint8_t bit(TargetGroup g) {
+  return static_cast<std::uint8_t>(1u << static_cast<unsigned>(g));
+}
+
+/// [begin, end) positions of one group in a sorted array.
+struct Run {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
+
+/// The runs of equal `key(item)` in `items`, which is sorted by that key.
+template <typename Item, typename Key>
+std::vector<Run> runs_of(const std::vector<Item>& items, Key key) {
+  std::vector<Run> runs;
+  for (std::size_t begin = 0; begin < items.size();) {
+    std::size_t end = begin + 1;
+    while (end < items.size() && key(items[end]) == key(items[begin])) ++end;
+    runs.push_back({begin, end});
+    begin = end;
+  }
+  return runs;
+}
+
+/// The table order of the runs as (sort key, run) pairs: content count
+/// descending, then the first torrent index `first(r)`, which no two runs
+/// share, so the order is total.
+template <typename First>
+std::vector<std::pair<std::uint64_t, std::uint32_t>> content_desc_order(
+    const std::vector<Run>& runs, First first) {
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> order(runs.size());
+  for (std::uint32_t r = 0; r < runs.size(); ++r) {
+    order[r] = {std::uint64_t{kNone - (runs[r].end - runs[r].begin)} << 32 | first(r), r};
+  }
+  std::sort(order.begin(), order.end());
+  return order;
+}
+
+/// Each key is (value << 32 | position). Keeps, for every distinct value,
+/// the key with its lowest position, and leaves those keys in position
+/// order: a first-occurrence dedup in O(k log k).
+void keep_first_occurrences(std::vector<std::uint64_t>& keys) {
+  std::sort(keys.begin(), keys.end());
+  const auto same_value = [](auto a, auto b) { return a >> 32 == b >> 32; };
+  keys.erase(std::unique(keys.begin(), keys.end(), same_value), keys.end());
+  std::sort(keys.begin(), keys.end(), [](std::uint64_t a, std::uint64_t b) {
+    return static_cast<std::uint32_t>(a) < static_cast<std::uint32_t>(b);
+  });
+}
+
+}  // namespace
+
 IdentityAnalysis::IdentityAnalysis(const CompactDatasetView& view,
                                    const GeoDb& geo, std::size_t top_n,
                                    FakeDetectionConfig fake_config,
                                    std::size_t threads)
-    : geo_(&geo), top_n_(top_n) {
+    : top_n_(top_n) {
   build_tables(view, threads);
   detect_fakes(fake_config);
   build_top(geo, top_n);
 }
 
-struct IdentityAnalysis::ShardTables {
-  std::vector<UsernameStats> usernames;  // shard-local first-occurrence order
-  std::vector<IpStats> ips;
-  std::size_t total_content = 0;
-  std::size_t total_downloads = 0;
-};
-
-struct IdentityAnalysis::MergeState {
-  std::unordered_map<std::string, std::size_t> username_index;  // -> usernames_
-  std::unordered_map<IpAddress, std::size_t> ip_index;          // -> ips_
-  // Cross-shard (username, ip) / (ip, username) pair dedup, mirroring the
-  // serial scan's global sets.
-  std::unordered_map<std::string, std::unordered_set<std::uint32_t>> user_ips;
-  std::unordered_map<IpAddress, std::unordered_set<std::string>> ip_users;
-};
-
 void IdentityAnalysis::build_tables(const CompactDatasetView& view,
                                     std::size_t threads) {
-  // Each shard scans a contiguous torrent span with exactly the serial
-  // algorithm (per-shard first-occurrence dedup), and shards merge back in
-  // span order. A key's global first occurrence lies in the earliest shard
-  // that saw it, and within a shard the local first-occurrence order is the
-  // index order — so the merged tables list usernames, IPs, torrent indices
-  // and deduped cross-references in exactly the serial scan's order, at any
-  // thread count (including shard-count 1, which *is* the serial path).
-  auto shards = sharded_scan(
-      view.torrents.size(), threads, [&view](std::size_t begin, std::size_t end) {
-        ShardTables shard;
-        std::unordered_map<std::string_view, std::size_t> uindex;
-        std::unordered_map<IpAddress, std::size_t> ipindex;
-        std::unordered_map<std::string_view, std::unordered_set<std::uint32_t>>
-            user_ips;
-        std::unordered_map<IpAddress, std::unordered_set<std::string_view>>
-            ip_users;
-        for (std::size_t i = begin; i < end; ++i) {
-          const TorrentRecordPod& pod = view.torrents[i];
-          // The username points into the view's text arena, stable for
-          // the scan's lifetime.
-          const std::string_view username = view.username(pod);
-          const std::size_t downloads = view.downloader_count(pod);
-          const bool has_ip = (pod.flags & TorrentRecordPod::kHasPublisherIp) != 0;
-          ++shard.total_content;
-          shard.total_downloads += downloads;
+  const std::size_t n = view.torrents.size();
+  if (n >= kNone) throw std::length_error("identity: too many torrents");
 
-          if (!username.empty()) {
-            auto [it, inserted] = uindex.try_emplace(username, shard.usernames.size());
-            if (inserted) {
-              UsernameStats stats;
-              stats.username = std::string(username);
-              const UserPagePod* page = view.find_user(username);
-              stats.banned = page != nullptr && (page->flags & UserPagePod::kBanned) != 0;
-              shard.usernames.push_back(std::move(stats));
-            }
-            UsernameStats& stats = shard.usernames[it->second];
-            stats.torrents.push_back(i);
-            ++stats.content_count;
-            stats.download_count += downloads;
-            if (has_ip && user_ips[username].insert(pod.publisher_ip).second) {
-              stats.ips.emplace_back(pod.publisher_ip);
-            }
-          }
+  // The checked accessors, once per torrent: a hostile row throws here.
+  // The usernames point into the view's text arena; each publisher IP is
+  // kept as the key (ip << 32 | index).
+  std::vector<std::pair<std::string_view, std::uint32_t>> by_name(n);
+  std::vector<std::uint32_t> downloads(n);
+  std::vector<std::uint64_t> ip_keys(n);
+  parallel_for_each_index(n, threads, [&](std::size_t i) {
+    const TorrentRecordPod& pod = view.torrents[i];
+    by_name[i] = {view.username(pod), static_cast<std::uint32_t>(i)};
+    downloads[i] = view.downloader_count(pod);
+    ip_keys[i] = (pod.flags & TorrentRecordPod::kHasPublisherIp) != 0
+                     ? std::uint64_t{pod.publisher_ip} << 32 | i
+                     : kNoIp;
+  });
+  total_content_ = n;
+  for (const std::uint32_t d : downloads) total_downloads_ += d;
 
-          if (has_ip) {
-            const IpAddress ip(pod.publisher_ip);
-            auto [it, inserted] = ipindex.try_emplace(ip, shard.ips.size());
-            if (inserted) {
-              IpStats stats;
-              stats.ip = ip;
-              shard.ips.push_back(std::move(stats));
-            }
-            IpStats& stats = shard.ips[it->second];
-            stats.torrents.push_back(i);
-            ++stats.content_count;
-            if (!username.empty() && ip_users[ip].insert(username).second) {
-              stats.usernames.emplace_back(username);
-            }
-          }
-        }
-        return shard;
-      });
-
-  MergeState state;
-  for (ShardTables& shard : shards) merge_shard(std::move(shard), state);
-  finish_tables();
-}
-
-void IdentityAnalysis::merge_shard(ShardTables&& shard, MergeState& state) {
-  total_content_ += shard.total_content;
-  total_downloads_ += shard.total_downloads;
-
-  for (UsernameStats& s : shard.usernames) {
-    const auto it = state.username_index.find(s.username);
-    if (it == state.username_index.end()) {
-      auto& seen = state.user_ips[s.username];
-      for (const IpAddress& ip : s.ips) seen.insert(ip.value());
-      state.username_index.emplace(s.username, usernames_.size());
-      usernames_.push_back(std::move(s));
-      continue;
+  // Username rows: torrents sorted by (username, index), one run per
+  // username. by_name_ takes each run, in username order, to its row.
+  std::erase_if(by_name, [](const auto& e) { return e.first.empty(); });
+  std::sort(by_name.begin(), by_name.end());
+  const std::vector<Run> name_runs =
+      runs_of(by_name, [](const auto& e) { return e.first; });
+  const auto user_order = content_desc_order(
+      name_runs, [&](std::size_t r) { return by_name[name_runs[r].begin].second; });
+  by_name_.resize(name_runs.size());
+  usernames_.resize(name_runs.size());
+  std::vector<std::uint32_t> row_of_torrent(n, kNone);  // its username row
+  parallel_for_each_index(usernames_.size(), threads, [&](std::size_t row) {
+    const Run run = name_runs[user_order[row].second];
+    by_name_[user_order[row].second] = static_cast<std::uint32_t>(row);
+    UsernameStats& stats = usernames_[row];
+    stats.username = std::string(by_name[run.begin].first);
+    const UserPagePod* page = view.find_user(stats.username);
+    stats.banned = page != nullptr && (page->flags & UserPagePod::kBanned) != 0;
+    stats.content_count = run.end - run.begin;
+    std::vector<std::uint64_t> keys;
+    for (std::size_t k = run.begin; k < run.end; ++k) {
+      const std::uint32_t t = by_name[k].second;
+      stats.torrents.push_back(t);
+      row_of_torrent[t] = static_cast<std::uint32_t>(row);
+      stats.download_count += downloads[t];
+      if (ip_keys[t] != kNoIp) keys.push_back(ip_keys[t]);
     }
-    UsernameStats& global = usernames_[it->second];
-    global.torrents.insert(global.torrents.end(), s.torrents.begin(),
-                           s.torrents.end());
-    global.content_count += s.content_count;
-    global.download_count += s.download_count;
-    auto& seen = state.user_ips[global.username];
-    for (const IpAddress& ip : s.ips) {
-      if (seen.insert(ip.value()).second) global.ips.push_back(ip);
+    keep_first_occurrences(keys);
+    for (const std::uint64_t k : keys) {
+      stats.ips.emplace_back(static_cast<std::uint32_t>(k >> 32));
     }
-  }
+  });
 
-  for (IpStats& s : shard.ips) {
-    const auto it = state.ip_index.find(s.ip);
-    if (it == state.ip_index.end()) {
-      auto& seen = state.ip_users[s.ip];
-      for (const std::string& name : s.usernames) seen.insert(name);
-      state.ip_index.emplace(s.ip, ips_.size());
-      ips_.push_back(std::move(s));
-      continue;
+  // IP rows: the sorted (ip << 32 | index) keys, one run per IP. Usernames
+  // dedup by row, in torrent order.
+  std::erase(ip_keys, kNoIp);
+  std::sort(ip_keys.begin(), ip_keys.end());
+  const std::vector<Run> ip_runs =
+      runs_of(ip_keys, [](std::uint64_t key) { return key >> 32; });
+  const auto ip_order = content_desc_order(ip_runs, [&](std::size_t r) {
+    return static_cast<std::uint32_t>(ip_keys[ip_runs[r].begin]);
+  });
+  ips_.resize(ip_runs.size());
+  parallel_for_each_index(ips_.size(), threads, [&](std::size_t row) {
+    const Run run = ip_runs[ip_order[row].second];
+    IpStats& stats = ips_[row];
+    stats.ip = IpAddress(static_cast<std::uint32_t>(ip_keys[run.begin] >> 32));
+    stats.content_count = run.end - run.begin;
+    std::vector<std::uint64_t> keys;
+    for (std::size_t k = run.begin; k < run.end; ++k) {
+      const auto t = static_cast<std::uint32_t>(ip_keys[k]);
+      stats.torrents.push_back(t);
+      const std::uint32_t user_row = row_of_torrent[t];
+      if (user_row != kNone) keys.push_back(std::uint64_t{user_row} << 32 | t);
     }
-    IpStats& global = ips_[it->second];
-    global.torrents.insert(global.torrents.end(), s.torrents.begin(),
-                           s.torrents.end());
-    global.content_count += s.content_count;
-    auto& seen = state.ip_users[s.ip];
-    for (std::string& name : s.usernames) {
-      if (seen.insert(name).second) global.usernames.push_back(std::move(name));
+    keep_first_occurrences(keys);
+    for (const std::uint64_t k : keys) {
+      const UsernameStats& user = usernames_[k >> 32];
+      stats.usernames.push_back(user.username);
+      if (user.banned) ++stats.banned_usernames;
     }
-  }
-}
-
-void IdentityAnalysis::finish_tables() {
-  // Moderation bans arrive after a username's torrents; count them per IP.
-  std::unordered_map<std::string_view, bool> banned;
-  banned.reserve(usernames_.size());
-  for (const UsernameStats& stats : usernames_) {
-    banned.emplace(stats.username, stats.banned);
-  }
-  for (IpStats& stats : ips_) {
-    for (const std::string& name : stats.usernames) {
-      const auto it = banned.find(name);
-      if (it != banned.end() && it->second) ++stats.banned_usernames;
-    }
-  }
-
-  auto by_content_desc = [](const auto& a, const auto& b) {
-    if (a.content_count != b.content_count) return a.content_count > b.content_count;
-    // torrents.front() — the key's first torrent index — is unique per
-    // entry, so this is a total order and the sort is deterministic.
-    return a.torrents.front() < b.torrents.front();
-  };
-  std::sort(usernames_.begin(), usernames_.end(), by_content_desc);
-  std::sort(ips_.begin(), ips_.end(), by_content_desc);
-  username_index_.clear();
-  for (std::size_t i = 0; i < usernames_.size(); ++i) {
-    username_index_.emplace(usernames_[i].username, i);
-  }
+  });
+  group_bits_.assign(usernames_.size(), bit(TargetGroup::All));
 }
 
 void IdentityAnalysis::detect_fakes(const FakeDetectionConfig& config) {
@@ -200,13 +186,16 @@ void IdentityAnalysis::detect_fakes(const FakeDetectionConfig& config) {
     if (banned_fraction < config.min_banned_fraction) continue;
     fake_ips_.insert(stats.ip);
     for (const std::string& name : stats.usernames) {
-      fake_usernames_.insert(name);
+      group_bits_[find_username(name) - usernames_.data()] |= bit(TargetGroup::Fake);
     }
   }
   // A banned username is a fake publisher even when its farm IP was never
   // identified (footnote 3: the ban is the portal's fake signal).
-  for (const UsernameStats& stats : usernames_) {
-    if (stats.banned) fake_usernames_.insert(stats.username);
+  for (std::size_t i = 0; i < usernames_.size(); ++i) {
+    if (usernames_[i].banned) group_bits_[i] |= bit(TargetGroup::Fake);
+    if ((group_bits_[i] & bit(TargetGroup::Fake)) != 0) {
+      fake_usernames_.insert(usernames_[i].username);
+    }
   }
 }
 
@@ -214,66 +203,44 @@ void IdentityAnalysis::build_top(const GeoDb& geo, std::size_t top_n) {
   const std::size_t cut = std::min(top_n, usernames_.size());
   for (std::size_t i = 0; i < cut; ++i) {
     const UsernameStats& stats = usernames_[i];
-    if (fake_usernames_.contains(stats.username)) {
+    if ((group_bits_[i] & bit(TargetGroup::Fake)) != 0) {
       ++compromised_in_top_;
       continue;
     }
     top_.push_back(stats.username);
-    top_set_.insert(stats.username);
+    group_bits_[i] |= bit(TargetGroup::Top);
     // Hosting vs commercial: majority ISP type over identified IPs.
     std::size_t hosting = 0, commercial = 0;
     for (const IpAddress& ip : stats.ips) {
       const auto loc = geo.lookup(ip);
-      if (!loc) continue;
-      if (loc->isp_type == IspType::HostingProvider) {
-        ++hosting;
-      } else {
-        ++commercial;
-      }
+      if (loc) ++(loc->isp_type == IspType::HostingProvider ? hosting : commercial);
     }
-    if (hosting == 0 && commercial == 0) {
-      // No identified IP: indistinguishable; the paper's HP/CI break-down
-      // only covers publishers with located addresses. Default to CI (a
-      // hosted box would have been reachable and identified).
-      top_ci_.insert(stats.username);
-    } else if (hosting >= commercial) {
-      top_hp_.insert(stats.username);
-    } else {
-      top_ci_.insert(stats.username);
-    }
+    // No identified IP: indistinguishable; the paper's HP/CI break-down
+    // only covers publishers with located addresses. Default to CI (a
+    // hosted box would have been reachable and identified).
+    const bool hosted = (hosting != 0 || commercial != 0) && hosting >= commercial;
+    (hosted ? top_hp_ : top_ci_).insert(stats.username);
+    group_bits_[i] |= bit(hosted ? TargetGroup::TopHP : TargetGroup::TopCI);
   }
 }
 
 const UsernameStats* IdentityAnalysis::find_username(std::string_view name) const {
-  const auto it = username_index_.find(std::string(name));
-  return it == username_index_.end() ? nullptr : &usernames_[it->second];
-}
-
-bool IdentityAnalysis::is_fake(std::string_view username) const {
-  return fake_usernames_.contains(std::string(username));
+  const auto it = std::partition_point(
+      by_name_.begin(), by_name_.end(),
+      [&](std::uint32_t i) { return usernames_[i].username < name; });
+  return it != by_name_.end() && usernames_[*it].username == name ? &usernames_[*it]
+                                                                   : nullptr;
 }
 
 bool IdentityAnalysis::in_group(std::string_view username, TargetGroup g) const {
-  const std::string name(username);
-  switch (g) {
-    case TargetGroup::All:
-      return username_index_.contains(name);
-    case TargetGroup::Fake:
-      return fake_usernames_.contains(name);
-    case TargetGroup::Top:
-      return top_set_.contains(name);
-    case TargetGroup::TopHP:
-      return top_hp_.contains(name);
-    case TargetGroup::TopCI:
-      return top_ci_.contains(name);
-  }
-  return false;
+  const UsernameStats* stats = find_username(username);
+  return stats != nullptr && (group_bits_[stats - usernames_.data()] & bit(g)) != 0;
 }
 
 std::vector<const UsernameStats*> IdentityAnalysis::members(TargetGroup g) const {
   std::vector<const UsernameStats*> out;
-  for (const UsernameStats& stats : usernames_) {
-    if (in_group(stats.username, g)) out.push_back(&stats);
+  for (std::size_t i = 0; i < usernames_.size(); ++i) {
+    if ((group_bits_[i] & bit(g)) != 0) out.push_back(&usernames_[i]);
   }
   return out;
 }
@@ -295,9 +262,10 @@ IdentityAnalysis::Share IdentityAnalysis::share_of(TargetGroup g) const {
   Share share;
   if (total_content_ == 0) return share;
   std::size_t content = 0, downloads = 0;
-  for (const UsernameStats* stats : members(g)) {
-    content += stats->content_count;
-    downloads += stats->download_count;
+  for (std::size_t i = 0; i < usernames_.size(); ++i) {
+    if ((group_bits_[i] & bit(g)) == 0) continue;
+    content += usernames_[i].content_count;
+    downloads += usernames_[i].download_count;
   }
   share.content = static_cast<double>(content) / static_cast<double>(total_content_);
   share.downloads = total_downloads_ == 0

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -55,11 +54,11 @@ class IdentityAnalysis {
  public:
   /// Reads the struct-of-arrays view (in-memory or mmap-ed) directly; the
   /// view only needs to outlive the constructor. `top_n` is the size of
-  /// the "top publishers" cut (the paper's 100). `threads` shards the
-  /// table-building scan across a worker pool (0 = hardware concurrency);
-  /// the tables are byte-identical to a serial build at every thread count
-  /// — shards cover contiguous torrent-index spans and merge back in span
-  /// order, which reproduces the serial first-occurrence dedup exactly.
+  /// the "top publishers" cut (the paper's 100). `threads` fans out the
+  /// per-torrent reads and the row builds (0 = hardware concurrency). The
+  /// tables come from sorting torrent indices by username and by IP and
+  /// grouping the runs, so every list inside them is in torrent-index order
+  /// and the tables are byte-identical at every thread count.
   IdentityAnalysis(const CompactDatasetView& view, const GeoDb& geo,
                    std::size_t top_n = 100,
                    FakeDetectionConfig fake_config = {},
@@ -87,7 +86,9 @@ class IdentityAnalysis {
   const std::unordered_set<std::string>& top_hp() const noexcept { return top_hp_; }
   const std::unordered_set<std::string>& top_ci() const noexcept { return top_ci_; }
 
-  bool is_fake(std::string_view username) const;
+  bool is_fake(std::string_view username) const {
+    return in_group(username, TargetGroup::Fake);
+  }
   /// Group membership test ("All" is every username).
   bool in_group(std::string_view username, TargetGroup g) const;
 
@@ -113,30 +114,20 @@ class IdentityAnalysis {
   std::size_t total_downloads() const noexcept { return total_downloads_; }
 
  private:
-  /// One shard's worth of tables, scanned over a contiguous torrent span.
-  struct ShardTables;
-  /// Cross-shard dedup state the in-order merge threads through.
-  struct MergeState;
-
-  /// Sharded scan + in-span-order merge.
+  /// The username and IP tables, grouped and sorted by content count.
   void build_tables(const CompactDatasetView& view, std::size_t threads);
-  /// Folds one shard's tables into the global ones, preserving the serial
-  /// first-occurrence order.
-  void merge_shard(ShardTables&& shard, MergeState& state);
-  /// The post-merge serial tail: per-IP banned counts, the content-count
-  /// sort, and the username re-key.
-  void finish_tables();
   void detect_fakes(const FakeDetectionConfig& config);
   void build_top(const GeoDb& geo, std::size_t top_n);
 
-  const GeoDb* geo_;
   std::vector<UsernameStats> usernames_;
-  std::unordered_map<std::string, std::size_t> username_index_;
+  /// usernames_ positions in username order: the lookup index.
+  std::vector<std::uint32_t> by_name_;
+  /// Per usernames_ position, bit (1 << g) for each TargetGroup g it is in.
+  std::vector<std::uint8_t> group_bits_;
   std::vector<IpStats> ips_;
   std::unordered_set<std::string> fake_usernames_;
   std::unordered_set<IpAddress> fake_ips_;
   std::vector<std::string> top_;
-  std::unordered_set<std::string> top_set_;
   std::unordered_set<std::string> top_hp_;
   std::unordered_set<std::string> top_ci_;
   std::size_t compromised_in_top_ = 0;

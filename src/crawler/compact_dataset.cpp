@@ -84,7 +84,7 @@ std::size_t CompactDatasetView::with_publisher_ip() const noexcept {
 }
 
 std::size_t CompactDatasetView::distinct_ips_global() const {
-  return distinct_downloader_ips().size();
+  return distinct_downloader_ips(0).size();
 }
 
 std::vector<std::uint32_t> CompactDatasetView::distinct_downloader_ips(

@@ -2,41 +2,71 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
+#include <utility>
 
 namespace btpub {
 namespace {
 
-void radix_sort_u32(std::vector<std::uint32_t>& keys) {
-  constexpr int kPasses = 3;
-  constexpr int kBits = 11;
-  constexpr std::size_t kBuckets = std::size_t{1} << kBits;
-  constexpr std::uint32_t kMask = kBuckets - 1;
+constexpr int kDigitBits = 8;
+constexpr std::size_t kRadix = std::size_t{1} << kDigitBits;
+constexpr std::uint32_t kDigitMask = kRadix - 1;
+constexpr int kTopShift = 32 - kDigitBits;
+using Counts = std::array<std::size_t, kRadix>;
 
-  // All three digit histograms come from one read of the input.
-  std::array<std::array<std::size_t, kBuckets>, kPasses> counts{};
-  for (const std::uint32_t k : keys) {
-    for (int p = 0; p < kPasses; ++p) ++counts[p][(k >> (p * kBits)) & kMask];
-  }
-
-  std::vector<std::uint32_t> scratch(keys.size());
-  for (int p = 0; p < kPasses; ++p) {
+/// LSD-sorts `n` keys that share their top digit by their three low
+/// digits. The keys move from `keys` to `buffer` and back; an odd number
+/// of passes leaves them sorted in `buffer`.
+void sort_low_digits(std::uint32_t* keys, std::uint32_t* buffer, std::size_t n) {
+  for (int shift = 0; shift < kTopShift; shift += kDigitBits) {
+    Counts counts{};
+    const auto digit = [shift](std::uint32_t k) { return (k >> shift) & kDigitMask; };
+    for (std::size_t i = 0; i < n; ++i) ++counts[digit(keys[i])];
     std::size_t offset = 0;
-    for (std::size_t& c : counts[p]) {
-      const std::size_t n = c;
-      c = offset;
-      offset += n;
-    }
-    const int shift = p * kBits;
-    for (const std::uint32_t k : keys) scratch[counts[p][(k >> shift) & kMask]++] = k;
-    keys.swap(scratch);
+    for (std::size_t& c : counts) offset += std::exchange(c, offset);
+    for (std::size_t i = 0; i < n; ++i) buffer[counts[digit(keys[i])]++] = keys[i];
+    std::swap(keys, buffer);
   }
 }
 
 }  // namespace
 
-void sort_unique_u32(std::vector<std::uint32_t>& keys) {
-  radix_sort_u32(keys);
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+void sort_unique_u32(std::vector<std::uint32_t>& keys, std::size_t threads) {
+  // Scatter on the top digit: each input span counts its keys per bucket,
+  // then writes them through its own cursors, laid out bucket-major.
+  const auto spans = shard_spans(keys.size(), ThreadPool::resolve_threads(threads));
+  const auto for_each_span = [&](auto&& body) {
+    parallel_for_each_index(spans.size(), threads, [&](std::size_t s) {
+      for (std::size_t i = spans[s].first; i < spans[s].second; ++i) body(s, keys[i]);
+    }, spans.size());
+  };
+  std::vector<Counts> cursors(spans.size(), Counts{});
+  for_each_span([&](std::size_t s, std::uint32_t k) { ++cursors[s][k >> kTopShift]; });
+  std::array<std::size_t, kRadix + 1> bucket{};
+  for (std::size_t b = 0; b < kRadix; ++b) {
+    std::size_t& offset = bucket[b + 1] = bucket[b];
+    for (Counts& cursor : cursors) offset += std::exchange(cursor[b], offset);
+  }
+  std::vector<std::uint32_t> scratch(keys.size());
+  for_each_span(
+      [&](std::size_t s, std::uint32_t k) { scratch[cursors[s][k >> kTopShift]++] = k; });
+
+  // The buckets hold disjoint key ranges, so each sorts and dedups on its
+  // own, using its slice of `keys` as the radix buffer.
+  std::array<std::size_t, kRadix> distinct{};
+  parallel_for_each_index(kRadix, threads, [&](std::size_t b) {
+    const std::size_t n = bucket[b + 1] - bucket[b];
+    std::uint32_t* sorted = keys.data() + bucket[b];
+    sort_low_digits(scratch.data() + bucket[b], sorted, n);
+    distinct[b] = static_cast<std::size_t>(std::unique(sorted, sorted + n) - sorted);
+  });
+  std::size_t out = 0;
+  for (std::size_t b = 0; b < kRadix; ++b) {
+    std::memmove(keys.data() + out, keys.data() + bucket[b],
+                 distinct[b] * sizeof(std::uint32_t));
+    out += distinct[b];
+  }
+  keys.resize(out);
 }
 
 }  // namespace btpub

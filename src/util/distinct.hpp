@@ -5,8 +5,10 @@
 // node-based hash set pays an allocation and a cache miss per insert;
 // gathering every key into one flat array, radix-sorting it and dropping
 // adjacent duplicates touches each key a handful of times in streaming
-// order instead. The result is the distinct keys in ascending order, so
-// it is independent of group order and thread count.
+// order instead. The sort scatters the keys on their top byte, then sorts
+// and dedups the 256 disjoint buckets in parallel. The result is the
+// distinct keys in ascending order, so it is independent of group order
+// and thread count.
 #pragma once
 
 #include <cstddef>
@@ -17,16 +19,20 @@
 
 namespace btpub {
 
-/// Sorts `keys` ascending and erases duplicates: LSD radix sort (3 passes
-/// of 11 bits, one scratch buffer of the same size), then std::unique.
-void sort_unique_u32(std::vector<std::uint32_t>& keys);
+/// Sorts `keys` ascending and erases duplicates over `threads` workers (0 =
+/// hardware concurrency): a scatter on the top 8 bits, then per bucket an
+/// LSD radix sort of the low 24 bits (3 passes of 8) and std::unique. Uses
+/// one scratch buffer of the same size.
+void sort_unique_u32(std::vector<std::uint32_t>& keys, std::size_t threads = 1);
 
 /// Returns the distinct keys, ascending, across `groups` key groups.
 /// `size_of(g)` gives group g's key count; it runs serially, once per group
 /// and before any key is read, so it may throw to reject a malformed group.
 /// `fill(g, out)` writes exactly that many keys to `out`; each group fills
 /// its own prefix-sum slot range, in parallel over `threads` workers (0 =
-/// hardware concurrency).
+/// hardware concurrency), and the sort uses the same workers. Below 64K
+/// keys both run on the calling thread, where starting workers would cost
+/// more than the work.
 template <typename SizeOf, typename Fill>
 std::vector<std::uint32_t> gather_distinct_u32(std::size_t groups,
                                                std::size_t threads,
@@ -36,10 +42,11 @@ std::vector<std::uint32_t> gather_distinct_u32(std::size_t groups,
     offsets[g + 1] = offsets[g] + size_of(g);
   }
   std::vector<std::uint32_t> keys(offsets[groups]);
+  if (keys.size() < (std::size_t{1} << 16)) threads = 1;
   parallel_for_each_index(groups, threads, [&](std::size_t g) {
     fill(g, keys.data() + offsets[g]);
   });
-  sort_unique_u32(keys);
+  sort_unique_u32(keys, threads);
   return keys;
 }
 

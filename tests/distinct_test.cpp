@@ -1,5 +1,5 @@
-// Distinct-key kernel: radix sort + unique and the grouped gather, checked
-// against std::sort + std::unique.
+// Distinct-key kernel: the parallel radix sort + unique and the grouped
+// gather, checked against std::sort + std::unique at 1-8 threads.
 #include "util/distinct.hpp"
 
 #include <gtest/gtest.h>
@@ -60,6 +60,47 @@ TEST(DistinctTest, SortUniqueEdgeInputs) {
   EXPECT_EQ(edges, expected);
   EXPECT_EQ(edges.front(), 0u);
   EXPECT_EQ(edges.back(), kMax);
+}
+
+TEST(DistinctTest, ParallelSortUniqueMatchesReferenceAtEveryThreadCount) {
+  // Full-range keys; keys confined to one top-byte bucket; keys with many
+  // duplicates; all keys equal; fewer keys than threads; no keys.
+  std::vector<std::vector<std::uint32_t>> inputs = {
+      random_keys(200'000, 11, 0xffffffffu), random_keys(50'000, 12, 0x00ffffffu),
+      random_keys(50'000, 13, 0xab0000ffu), std::vector<std::uint32_t>(5000, 7u),
+      {9, 3, 9}, {}};
+  for (std::uint32_t& k : inputs[2]) k |= 0xab000000u;  // one bucket, few values
+  for (const auto& input : inputs) {
+    const std::vector<std::uint32_t> expected = reference_unique(input);
+    for (std::size_t threads = 1; threads <= 8; ++threads) {
+      std::vector<std::uint32_t> keys = input;
+      sort_unique_u32(keys, threads);
+      EXPECT_EQ(keys, expected) << input.size() << " keys, " << threads << " threads";
+    }
+  }
+}
+
+TEST(DistinctTest, LargeGatherMatchesReferenceAtAnyThreadCount) {
+  // Above the size where the gather and sort fan out.
+  Rng rng(5);
+  std::vector<std::vector<std::uint32_t>> groups(300);
+  std::vector<std::uint32_t> all;
+  for (auto& group : groups) {
+    group = random_keys(static_cast<std::size_t>(rng.uniform_int(0, 800)), rng.next(),
+                        0x3fffffffu);
+    all.insert(all.end(), group.begin(), group.end());
+  }
+  ASSERT_GT(all.size(), std::size_t{1} << 16);
+  const std::vector<std::uint32_t> expected = reference_unique(all);
+  for (const std::size_t threads : {1u, 3u, 4u}) {
+    EXPECT_EQ(gather_distinct_u32(
+                  groups.size(), threads, [&](std::size_t g) { return groups[g].size(); },
+                  [&](std::size_t g, std::uint32_t* out) {
+                    std::copy(groups[g].begin(), groups[g].end(), out);
+                  }),
+              expected)
+        << threads << " threads";
+  }
 }
 
 TEST(DistinctTest, GatherMatchesReferenceAtAnyThreadCount) {
