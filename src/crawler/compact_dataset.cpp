@@ -83,8 +83,8 @@ std::size_t CompactDatasetView::with_publisher_ip() const noexcept {
   return n;
 }
 
-std::size_t CompactDatasetView::distinct_ips_global() const {
-  return distinct_downloader_ips(0).size();
+std::size_t CompactDatasetView::distinct_ips_global(std::size_t threads) const {
+  return distinct_downloader_ips(threads).size();
 }
 
 std::vector<std::uint32_t> CompactDatasetView::distinct_downloader_ips(

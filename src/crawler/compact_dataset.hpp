@@ -145,9 +145,10 @@ struct CompactDatasetView {
   std::size_t torrent_count() const noexcept { return torrents.size(); }
   std::size_t with_username() const noexcept;
   std::size_t with_publisher_ip() const noexcept;
-  /// The size of distinct_downloader_ips(), gathered over hardware
-  /// concurrency: the count is the same at every thread count.
-  std::size_t distinct_ips_global() const;
+  /// The size of distinct_downloader_ips(threads). The count is the same
+  /// at every thread count, so callers that do not pass theirs get
+  /// hardware concurrency.
+  std::size_t distinct_ips_global(std::size_t threads = 0) const;
   std::size_t ip_observations_total() const noexcept;
 
   /// The distinct downloader IPs across all torrents as ascending

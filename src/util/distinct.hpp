@@ -5,10 +5,12 @@
 // node-based hash set pays an allocation and a cache miss per insert;
 // gathering every key into one flat array, radix-sorting it and dropping
 // adjacent duplicates touches each key a handful of times in streaming
-// order instead. The sort scatters the keys on their top byte, then sorts
-// and dedups the 256 disjoint buckets in parallel. The result is the
-// distinct keys in ascending order, so it is independent of group order
-// and thread count.
+// order instead. The sort scatters the keys into up to 256 buckets that
+// split the range the keys span, then sorts and dedups each bucket as its
+// own task. Splitting the span rather than the top byte keeps clustered
+// keys spread: IspCatalog's addresses all fall in 20.0.0.0-28.x, which the
+// top byte would put in 9 buckets. The result is the distinct keys in ascending
+// order, so it is independent of group order and thread count.
 #pragma once
 
 #include <cstddef>
@@ -20,9 +22,11 @@
 namespace btpub {
 
 /// Sorts `keys` ascending and erases duplicates over `threads` workers (0 =
-/// hardware concurrency): a scatter on the top 8 bits, then per bucket an
-/// LSD radix sort of the low 24 bits (3 passes of 8) and std::unique. Uses
-/// one scratch buffer of the same size.
+/// hardware concurrency), all phases on one pool: min/max, then a scatter
+/// on the top bits of `key - min` into at most 256 buckets of at least ~4K
+/// keys each (one bucket for small inputs), then per non-empty bucket an
+/// LSD radix sort of the remaining bits (passes of at most 11) and
+/// std::unique. Uses one scratch buffer of the same size.
 void sort_unique_u32(std::vector<std::uint32_t>& keys, std::size_t threads = 1);
 
 /// Returns the distinct keys, ascending, across `groups` key groups.

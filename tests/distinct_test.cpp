@@ -64,12 +64,16 @@ TEST(DistinctTest, SortUniqueEdgeInputs) {
 
 TEST(DistinctTest, ParallelSortUniqueMatchesReferenceAtEveryThreadCount) {
   // Full-range keys; keys confined to one top-byte bucket; keys with many
-  // duplicates; all keys equal; fewer keys than threads; no keys.
+  // duplicates; all keys equal; fewer keys than threads; no keys; keys in
+  // /8s 20-27, like IspCatalog addresses; a narrow range at the top.
   std::vector<std::vector<std::uint32_t>> inputs = {
       random_keys(200'000, 11, 0xffffffffu), random_keys(50'000, 12, 0x00ffffffu),
       random_keys(50'000, 13, 0xab0000ffu), std::vector<std::uint32_t>(5000, 7u),
-      {9, 3, 9}, {}};
+      {9, 3, 9}, {}, random_keys(300'000, 14, 0x07ffffffu),
+      random_keys(20'000, 15, 0x0000ffffu)};
   for (std::uint32_t& k : inputs[2]) k |= 0xab000000u;  // one bucket, few values
+  for (std::uint32_t& k : inputs[6]) k += 20u << 24;
+  for (std::uint32_t& k : inputs[7]) k |= 0xffff0000u;
   for (const auto& input : inputs) {
     const std::vector<std::uint32_t> expected = reference_unique(input);
     for (std::size_t threads = 1; threads <= 8; ++threads) {
@@ -130,6 +134,12 @@ TEST(DistinctTest, GatherOfNoGroupsIsEmpty) {
   const auto got = gather_distinct_u32(
       0, 4, [](std::size_t) { return std::size_t{1}; },
       [](std::size_t, std::uint32_t*) { FAIL() << "no group to fill"; });
+  EXPECT_TRUE(got.empty());
+}
+
+TEST(DistinctTest, GatherOfEmptyGroupsIsEmpty) {
+  const auto got = gather_distinct_u32(
+      100, 4, [](std::size_t) { return std::size_t{0}; }, [](std::size_t, std::uint32_t*) {});
   EXPECT_TRUE(got.empty());
 }
 
